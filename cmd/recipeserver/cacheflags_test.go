@@ -13,18 +13,16 @@ import (
 func TestResolveCacheEntries(t *testing.T) {
 	cases := []struct {
 		entries int
-		off     bool
 		want    int
 	}{
-		{entries: defaultCacheEntries, off: false, want: defaultCacheEntries},
-		{entries: 128, off: false, want: 128},
-		{entries: 128, off: true, want: 0}, // -cache-off wins
-		{entries: 0, off: false, want: 0},
-		{entries: -5, off: false, want: 0},
+		{entries: defaultCacheEntries, want: defaultCacheEntries},
+		{entries: 128, want: 128},
+		{entries: 0, want: 0},
+		{entries: -5, want: 0},
 	}
 	for _, c := range cases {
-		if got := resolveCacheEntries(c.entries, c.off); got != c.want {
-			t.Errorf("resolveCacheEntries(%d, %v) = %d, want %d", c.entries, c.off, got, c.want)
+		if got := resolveCacheEntries(c.entries); got != c.want {
+			t.Errorf("resolveCacheEntries(%d) = %d, want %d", c.entries, got, c.want)
 		}
 	}
 }
@@ -49,7 +47,7 @@ func TestBuildServerWiresCache(t *testing.T) {
 		t.Skip("trains a pipeline")
 	}
 	h, err := buildServer("", "", 0, smallOpts(), server.Config{
-		CacheEntries: resolveCacheEntries(defaultCacheEntries, false),
+		CacheEntries: resolveCacheEntries(defaultCacheEntries),
 	})
 	if err != nil {
 		t.Fatal(err)

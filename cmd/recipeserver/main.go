@@ -22,14 +22,17 @@
 // for up to -drain-timeout, then exits 0.
 //
 // Heavy-tail posture: annotations are memoized in a bounded,
-// generation-pinned cache (-cache-entries, default 65536; -cache-off
-// disables) with singleflight coalescing, so a herd of identical
-// requests decodes once and, under a saturated limiter, cached
-// phrases still answer while only uncached work sheds. /readyz
+// generation-pinned cache (-cache-entries, default 65536; 0 disables)
+// and concurrent identical misses coalesce into one decode, so a herd
+// of identical requests decodes once and, under a saturated limiter,
+// cached phrases still answer while only uncached work sheds.
+// Coalescing stays on with the cache off: it is part of the one
+// annotation resolver and never changes response bytes. /readyz
 // reports the cache and shed counters.
 //
-// Tier posture: annotation resolves through the degradation ladder
-// (DESIGN §15): CRF tier → cache hot-set → rules tier → shed. A
+// Tier posture: both annotate endpoints resolve through one
+// degradation ladder (DESIGN §15): cache hot-set → rules routing →
+// CRF tier → rules tier → shed. A
 // circuit breaker watches CRF-tier health (contained record panics,
 // canary-rejected reloads, shard failures); when it trips, annotation
 // endpoints answer 200 from the deterministic gazetteer tier
@@ -169,12 +172,11 @@ func buildServer(modelPath, storePath string, corpusSize int, opts recipemodel.O
 // in cache, small enough to be irrelevant next to the model itself.
 const defaultCacheEntries = 64 << 10
 
-// resolveCacheEntries folds the two cache flags into the config
-// value: -cache-off wins over any -cache-entries, and a negative
-// entry count means off (the cache constructor treats <= 0 as
-// disabled, so the fold is total).
-func resolveCacheEntries(entries int, off bool) int {
-	if off || entries < 0 {
+// resolveCacheEntries folds -cache-entries into the config value: a
+// negative entry count means off (the cache constructor treats <= 0
+// as disabled, so the fold is total).
+func resolveCacheEntries(entries int) int {
+	if entries < 0 {
 		return 0
 	}
 	return entries
@@ -185,7 +187,7 @@ func resolveCacheEntries(entries int, off bool) int {
 // is active without probing /readyz.
 func cacheConfigLine(entries int) string {
 	if entries <= 0 {
-		return "annotation cache: off (every request decodes; no coalescing)"
+		return "annotation cache: off (every request decodes; concurrent identical misses still coalesce)"
 	}
 	return fmt.Sprintf("annotation cache: on (%d entries, singleflight coalescing, hits served under overload)", entries)
 }
@@ -304,11 +306,10 @@ func main() {
 	modelPath := flag.String("model", "", "persisted pipeline file (empty: train fresh)")
 	storePath := flag.String("store", "", "versioned model store directory; enables /admin/reload and SIGHUP hot reload (overrides -model)")
 	corpusSize := flag.Int("corpus", 200, "synthetic recipes to mine and index for /search (0 disables)")
-	maxInFlight := flag.Int("max-inflight", 1024, "admitted work units before shedding with 429 (batch = phrase count; 0 = unlimited)")
+	maxInFlight := flag.Int("max-inflight", 1024, "admitted work units before shedding with 429 (batch = distinct uncached phrases; 0 = unlimited)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline threaded through the pipeline (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
-	cacheEntries := flag.Int("cache-entries", defaultCacheEntries, "annotation cache capacity in entries (0 disables)")
-	cacheOff := flag.Bool("cache-off", false, "disable the annotation cache and request coalescing entirely")
+	cacheEntries := flag.Int("cache-entries", defaultCacheEntries, "annotation cache capacity in entries (0 disables the cache; concurrent identical misses still coalesce into one decode)")
 	snapshotsPath := flag.String("snapshots", "", "versioned corpus snapshot store directory; enables the /query endpoints and corpus hot reload")
 	queryShards := flag.Int("query-shards", 4, "in-memory corpus shards behind the /query endpoints (clamped to the doc count)")
 	queryShardBudget := flag.Duration("query-shard-budget", 2*time.Second, "per-shard deadline before a query degrades to partial results (0 disables)")
@@ -328,7 +329,7 @@ func main() {
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *requestTimeout,
 		RetryAfter:     time.Second,
-		CacheEntries:   resolveCacheEntries(*cacheEntries, *cacheOff),
+		CacheEntries:   resolveCacheEntries(*cacheEntries),
 	}
 	log.Print(cacheConfigLine(cfg.CacheEntries))
 	if !*rulesOff {

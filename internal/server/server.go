@@ -27,20 +27,29 @@
 // are never dropped either way, because each request resolves the
 // pipeline pointer once at admission.
 //
+// Both annotate endpoints answer through one resolver (tier.go):
+// /annotate resolves a batch of one and encodes a bare record,
+// /annotate/batch resolves its phrases and encodes the envelope.
+// resolve runs the degradation ladder (DESIGN §15) as stages — cache
+// lookup, rules routing, dedup, admission, CRF decode, cache Put and
+// agreement audit, rules fallback — so breaker, limiter, cache,
+// flights and the rules tier are each touched in one place.
+//
 // Heavy-tail traffic shape (DESIGN §13): real ingredient traffic is
-// massively duplicated, so with Config.CacheEntries > 0 the annotate
-// endpoints memoize successful decodes in a sharded LRU keyed on
-// core.CanonicalKey(phrase) and coalesce concurrent misses for one
-// phrase into a single decode (internal/flight). The cache is
-// generation-pinned: each request resolves {pipeline, version,
-// generation} as one atomic unit, entries carry the generation that
-// produced them, and a hot reload bumps the generation — so a cached
-// record is served only to requests resolving the very pipeline that
-// computed it, and a reload invalidates without a stop-the-world
-// flush. Under overload the cache keeps the hot set alive: hits cost
-// no admission weight and are served even when the limiter is
-// saturated (counted as degraded-mode serves), while misses shed with
-// 429 + Retry-After.
+// massively duplicated, so with Config.CacheEntries > 0 the resolver
+// memoizes successful decodes in a sharded LRU keyed on
+// core.CanonicalKey(phrase), and with or without the cache it
+// coalesces concurrent /annotate misses for one phrase into a single
+// decode (internal/flight). The cache is generation-pinned: each
+// request resolves {pipeline, version, generation} as one atomic unit,
+// entries carry the generation that produced them, and a hot reload
+// bumps the generation — so a cached record is served only to requests
+// resolving the very pipeline that computed it, and a reload
+// invalidates without a stop-the-world flush. Under overload the cache
+// keeps the hot set alive: hits cost no admission weight and are
+// served even when the limiter is saturated (counted as degraded-mode
+// serves), while misses degrade to the rules tier or shed with 429 +
+// Retry-After.
 package server
 
 import (
@@ -50,7 +59,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,13 +95,15 @@ type Pipeline interface {
 	// quarantine error instead of an empty record, so the handler can
 	// answer 422 with a machine-readable code.
 	AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error)
-	// AnnotateIngredientsContext is the batch form behind
-	// /annotate/batch; implementations fan out over a worker pool,
-	// return record i for phrase i, and honor ctx cancellation.
+	// AnnotateIngredientsContext is the all-or-nothing batch form. The
+	// server does not call it; it stays in the interface because
+	// perfbench's traced pipeline forwards it through a Pipeline value.
 	AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]core.IngredientRecord, error)
-	// AnnotateIngredientsPartial is the partial-result batch form: one
-	// poison phrase costs one rejection, not the batch. Slot i of the
-	// records is meaningful iff no rejection carries index i.
+	// AnnotateIngredientsPartial is the batch form behind
+	// /annotate/batch; implementations fan out over a worker pool and
+	// honor ctx cancellation. One poison phrase costs one rejection, not
+	// the batch: slot i of the records is meaningful iff no rejection
+	// carries index i.
 	AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error)
 	ModelRecipeContext(ctx context.Context, title, cuisine string, ingredientLines []string, instructions string) (*core.RecipeModel, error)
 }
@@ -102,8 +112,9 @@ type Pipeline interface {
 // limits (useful for tests that target handler logic alone).
 type Config struct {
 	// MaxInFlight caps admitted work units across all requests: a
-	// single annotate/model/search weighs 1, a batch weighs its phrase
-	// count. 0 means unlimited.
+	// single annotate/model/search weighs 1, a batch weighs its
+	// distinct uncached phrases, and cache hits weigh nothing. 0 means
+	// unlimited.
 	MaxInFlight int
 	// RequestTimeout bounds each request's context; handlers observe
 	// it through ctx and answer 503 when mining overruns. 0 disables.
@@ -121,8 +132,11 @@ type Config struct {
 	// ModelVersion labels the initially served model in /readyz.
 	ModelVersion string
 	// CacheEntries bounds the annotation cache (in entries); 0
-	// disables caching and request coalescing entirely, restoring the
-	// decode-every-request behavior.
+	// disables caching, so every request decodes. Concurrent identical
+	// /annotate misses still coalesce into one decode and one admission
+	// unit either way: the flights are part of the one annotation
+	// resolver, not of the cache, and responses are byte-identical with
+	// or without them (DESIGN §13).
 	CacheEntries int
 	// CorpusSnapshot is the initial mined corpus served by the /query
 	// endpoints; nil disables them with a 503.
@@ -205,12 +219,12 @@ type Server struct {
 	quarantined quarantine.Counters
 	// cache memoizes successful ingredient decodes keyed on canonical
 	// phrase bytes; nil when Config.CacheEntries is 0 (every lookup
-	// misses and the handlers take the decode path unconditionally).
+	// misses and resolve decodes every phrase).
 	cache *cache.Cache[core.IngredientRecord]
 	// flights coalesces concurrent uncached decodes of one phrase so a
 	// thundering herd costs a single decode. Keys carry the generation,
 	// so a reload mid-herd starts fresh flights for the new model.
-	flights flight.Group[core.IngredientRecord]
+	flights flight.Group[slot]
 	// shedTotal counts every 429 this server answered; degradedHits
 	// counts cache hits served while the limiter was saturated — the
 	// observable signature of degraded mode (still answering the hot
@@ -317,11 +331,6 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // cache's generation pinning airtight: a record is cached and served
 // under the generation of the pipeline that computed it.
 func (s *Server) state() pipeState { return s.pipe.Load().(pipeState) }
-
-// pipeline resolves the serving pipeline once; a handler holds the
-// same pipeline for its whole request even if a reload swaps the
-// pointer mid-flight.
-func (s *Server) pipeline() Pipeline { return s.state().pipe }
 
 // ModelVersion reports the version label of the serving pipeline.
 func (s *Server) ModelVersion() string { return s.state().version }
@@ -595,15 +604,10 @@ func (s *Server) logf(format string, args ...any) {
 	l.Printf(format, args...)
 }
 
-// writeJSON writes v with status 200.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
+// writeJSON writes v as indented JSON with status 200.
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
-// writeJSONStatus writes v as indented JSON under a non-200 status.
+// writeJSONStatus writes v as indented JSON under the given status.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -619,12 +623,15 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// ctxError maps a pipeline context error to the right response: 503
-// with a Retry-After when the per-request deadline expired (the server
-// shed the tail of the work), nothing when the client itself went away
-// (no one is reading).
-func (s *Server) ctxError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
+// unserved answers a request the pipeline could not serve: 429 when
+// resolve shed it, 503 with a Retry-After when the per-request deadline
+// expired (the server shed the tail of the work), nothing when the
+// client itself went away (no one is reading).
+func (s *Server) unserved(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errShed):
+		s.shed(w)
+	case errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "request deadline exceeded")
 	}
@@ -670,170 +677,24 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "phrase is required")
 		return
 	}
-	if s.cache != nil {
-		s.annotateCached(w, r, req.Phrase)
-		return
-	}
-	if s.tryRouteRules(w, req.Phrase) {
-		return
-	}
-	tk := s.brk.Acquire()
-	if !tk.OK() {
-		// Breaker open: skip the CRF tier entirely.
-		s.serveRulesDegraded(w, req.Phrase)
-		return
-	}
-	release, ok := s.limiter.TryAcquire(1)
-	if !ok {
-		// Saturated: the rules rung still answers in microseconds
-		// without pipeline admission; shed only when it is absent.
-		s.brk.Cancel(tk)
-		if s.cfg.Rules != nil {
-			s.serveRulesDegraded(w, req.Phrase)
-			return
-		}
-		s.shed(w)
-		return
-	}
-	defer release()
-	rec, err := s.pipeline().AnnotateIngredientChecked(req.Phrase)
-	s.brk.Done(tk, !isCRFFailure(err))
+	slots, err := s.resolve(r.Context(), s.state(), []string{req.Phrase}, true)
 	if err != nil {
-		// A contained pipeline panic is the CRF tier's failure, not
-		// the input's: with a rules tier configured the request still
-		// deserves an answer. Input poison rejects 422 from any tier.
-		if isCRFFailure(err) && s.cfg.Rules != nil {
-			s.serveRulesDegraded(w, req.Phrase)
-			return
-		}
-		s.rejectPhrase(w, req.Phrase, err)
+		s.unserved(w, err)
 		return
 	}
-	s.crfServed.Add(1)
-	s.maybeAudit(req.Phrase, rec)
-	writeJSON(w, rec)
-}
-
-// rejectPhrase answers the 422 quarantine payload for one phrase and
-// counts the rejection (shared by the cached and uncached paths, so
-// the response bytes are identical either way).
-func (s *Server) rejectPhrase(w http.ResponseWriter, phrase string, err error) {
-	rej := quarantine.Reject(0, phrase, err)
-	s.quarantined.Observe(rej.Code)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusUnprocessableEntity)
-	_ = json.NewEncoder(w).Encode(map[string]string{
-		"error":  "phrase rejected",
-		"code":   string(rej.Code),
-		"detail": rej.Detail,
-	})
-}
-
-// errShedMiss marks a decode that could not be admitted: the limiter
-// is saturated and the phrase is not cached, so the request (and any
-// waiters coalesced behind it) sheds with 429.
-var errShedMiss = errors.New("limiter saturated; uncached decode shed")
-
-// flightKey scopes a coalescing key to the serving generation, so a
-// reload mid-herd starts a fresh flight against the new model instead
-// of handing new-generation requests an old leader's result. Flights
-// key on the raw phrase (not the canonical key): identical requests —
-// the thundering-herd shape — still coalesce perfectly, and sharing
-// only between byte-identical phrases keeps every response, including
-// error details that echo the input, byte-identical to the uncached
-// server's.
-func flightKey(gen uint64, phrase string) string {
-	return strconv.FormatUint(gen, 10) + "\x00" + phrase
-}
-
-// annotateCached is /annotate with the heavy-tail layer in front of
-// the decode: canonical-key cache lookup (hits are served with zero
-// admission weight, even under a saturated limiter), then singleflight
-// coalescing for misses with admission paid once, by the leader,
-// inside the flight. The cached record's derived fields depend only on
-// the canonical key, so the response re-echoes this request's raw
-// phrase and is byte-identical to an uncached decode.
-func (s *Server) annotateCached(w http.ResponseWriter, r *http.Request, phrase string) {
-	st := s.state()
-	key, kerr := core.CanonicalKey(phrase)
-	if kerr == nil {
-		if rec, ok := s.cache.Get(key, st.gen); ok {
-			if s.limiter.Saturated() {
-				s.degradedHits.Add(1)
-			}
-			rec.Phrase = phrase
-			writeJSON(w, rec)
-			return
-		}
-	}
-	if s.tryRouteRules(w, phrase) {
-		return
-	}
-	// An unkeyable phrase (kerr != nil) still flies: the decode will
-	// reject it with the exact quarantine error, and concurrent
-	// identical poison requests coalesce onto one rejection.
-	rec, _, err := s.flights.Do(r.Context(), flightKey(st.gen, phrase), func() (core.IngredientRecord, error) {
-		// Double-check inside the flight: a leader that won the race
-		// against a just-finished Put (looked up before it, got the
-		// flight slot after the previous leader released it) finds the
-		// entry here instead of decoding again — what makes "one herd,
-		// one decode" exact rather than probabilistic.
-		if kerr == nil {
-			if rec, ok := s.cache.Get(key, st.gen); ok {
-				return rec, nil
-			}
-		}
-		// The breaker ticket is leader-only: waiters coalesced behind
-		// this flight share the outcome (and the degraded fallback)
-		// without consuming half-open probe slots.
-		tk := s.brk.Acquire()
-		if !tk.OK() {
-			return core.IngredientRecord{}, errCRFOpen
-		}
-		release, ok := s.limiter.TryAcquire(1)
-		if !ok {
-			s.brk.Cancel(tk)
-			return core.IngredientRecord{}, errShedMiss
-		}
-		defer release()
-		rec, err := st.pipe.AnnotateIngredientChecked(phrase)
-		s.brk.Done(tk, !isCRFFailure(err))
-		if err != nil {
-			return core.IngredientRecord{}, err
-		}
-		if kerr == nil {
-			s.cache.Put(key, st.gen, rec)
-		}
-		s.maybeAudit(phrase, rec)
-		return rec, nil
-	})
-	switch {
-	case err == nil:
-		s.crfServed.Add(1)
-		rec.Phrase = phrase
-		writeJSON(w, rec)
-	case errors.Is(err, errCRFOpen):
-		s.serveRulesDegraded(w, phrase)
-	case errors.Is(err, errShedMiss):
-		// Saturated miss: the rules rung answers without pipeline
-		// admission; shed only when it is absent.
-		if s.cfg.Rules != nil {
-			s.serveRulesDegraded(w, phrase)
-			return
-		}
-		s.shed(w)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// a detached waiter: the client's context died while the
-		// leader was decoding.
-		s.ctxError(w, err)
+	switch sl := slots[0]; {
+	case sl.rejected():
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusUnprocessableEntity)
+		_ = json.NewEncoder(w).Encode(map[string]string{
+			"error":  "phrase rejected",
+			"code":   string(sl.rej.Code),
+			"detail": sl.rej.Detail,
+		})
+	case sl.rung == rungRules:
+		writeJSON(w, tierRecord{IngredientRecord: sl.rec, Degraded: true, Tier: "rules"})
 	default:
-		// A contained pipeline panic degrades to the rules tier when
-		// one is configured; input poison rejects 422 from any tier.
-		if isCRFFailure(err) && s.cfg.Rules != nil {
-			s.serveRulesDegraded(w, phrase)
-			return
-		}
-		s.rejectPhrase(w, phrase, err)
+		writeJSON(w, sl.rec)
 	}
 }
 
@@ -888,80 +749,30 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("at most %d phrases per batch", maxBatchPhrases))
 		return
 	}
-	if s.cache != nil {
-		s.annotateBatchCached(w, r, req.Phrases)
-		return
-	}
-	n := len(req.Phrases)
-	tk := s.brk.Acquire()
-	if !tk.OK() {
-		// Breaker open: the whole batch resolves on the rules tier.
-		s.finishBatchRules(w, req.Phrases, make([]core.IngredientRecord, n), make([]bool, n), nil)
-		return
-	}
-	// a batch occupies as many admission units as it has phrases, so
-	// one giant batch can't starve the interactive endpoints silently.
-	release, ok := s.limiter.TryAcquire(n)
-	if !ok {
-		s.brk.Cancel(tk)
-		if s.cfg.Rules != nil {
-			s.finishBatchRules(w, req.Phrases, make([]core.IngredientRecord, n), make([]bool, n), nil)
-			return
-		}
-		s.shed(w)
-		return
-	}
-	defer release()
-	recs, rejs, err := s.pipeline().AnnotateIngredientsPartial(r.Context(), req.Phrases)
+	slots, err := s.resolve(r.Context(), s.state(), req.Phrases, false)
 	if err != nil {
-		s.brk.Cancel(tk)
-		s.ctxError(w, err)
+		s.unserved(w, err)
 		return
 	}
-	crfOK := batchCRFSuccess(rejs)
-	s.brk.Done(tk, crfOK)
-	if !crfOK && s.cfg.Rules != nil {
-		// Contained pipeline panics are the CRF tier's failure: those
-		// slots re-serve on the rules tier; input poison stands as 422.
-		done := make([]bool, n)
-		for i := range done {
-			done[i] = true
+	resp := batchResponse{Results: make([]batchItem, len(slots))}
+	for i := range slots {
+		sl := &slots[i]
+		item := batchItem{Status: "ok", Record: &sl.rec}
+		if sl.rejected() {
+			item = batchItem{Status: "rejected", Code: sl.rej.Code, Detail: sl.rej.Detail}
+			resp.Rejected++
 		}
-		s.finishBatchRules(w, req.Phrases, recs, done, splitCRFFailures(rejs, done))
-		return
-	}
-	writeBatch(w, n, recs, rejs, &s.quarantined)
-}
-
-// writeBatch assembles and writes the /annotate/batch envelope from
-// per-slot records and rejections (slot i is a rejection iff some
-// rejection carries index i), counting rejections into quarantined.
-// Shared by the cached and uncached paths so the bytes are identical.
-func writeBatch(w http.ResponseWriter, n int, recs []core.IngredientRecord, rejs []quarantine.Rejection, quarantined *quarantine.Counters) {
-	writeBatchTier(w, n, recs, rejs, quarantined, nil, false, "")
-}
-
-// writeBatchTier is writeBatch with the degradation markers: tiers[i]
-// (when non-nil) labels slot i's serving tier ("" for CRF/cache slots,
-// omitted from JSON), and degraded/tier stamp the envelope. The healthy
-// path passes nil/false/"" and produces bytes identical to the
-// pre-tier envelope via omitempty.
-func writeBatchTier(w http.ResponseWriter, n int, recs []core.IngredientRecord, rejs []quarantine.Rejection, quarantined *quarantine.Counters, tiers []string, degraded bool, tier string) {
-	resp := batchResponse{Results: make([]batchItem, n), Degraded: degraded, Tier: tier}
-	for i := range resp.Results {
-		rec := recs[i]
-		item := batchItem{Status: "ok", Record: &rec}
-		if tiers != nil {
-			item.Tier = tiers[i]
+		if sl.rung == rungRules {
+			// A rules-tier rejection still marks the envelope: the
+			// fallback answered that slot.
+			resp.Degraded, resp.Tier = true, "rules"
+			if !sl.rejected() {
+				item.Tier = "rules"
+			}
 		}
 		resp.Results[i] = item
 	}
-	for _, rej := range rejs {
-		quarantined.Observe(rej.Code)
-		resp.Results[rej.Index] = batchItem{Status: "rejected", Code: rej.Code, Detail: rej.Detail}
-	}
-	resp.Rejected = len(rejs)
-	resp.OK = n - resp.Rejected
+	resp.OK = len(slots) - resp.Rejected
 	status := http.StatusOK
 	switch {
 	case resp.OK == 0:
@@ -969,139 +780,7 @@ func writeBatchTier(w http.ResponseWriter, n int, recs []core.IngredientRecord, 
 	case resp.Rejected > 0:
 		status = http.StatusMultiStatus
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
-}
-
-// annotateBatchCached is /annotate/batch with the heavy-tail layer:
-// cached phrases are served for free, the remaining distinct phrases
-// are deduplicated (a 10k-phrase batch of "salt" decodes once) and
-// decoded through the worker-pool partial API, and admission is
-// weighed by the deduplicated miss count only — so under overload an
-// all-hot batch still answers while a cold batch sheds. Dedup is by
-// raw phrase: derived record fields depend only on the canonical key,
-// but rejection details echo the input, and byte-identity with the
-// uncached server is the differential contract.
-func (s *Server) annotateBatchCached(w http.ResponseWriter, r *http.Request, phrases []string) {
-	st := s.state()
-	n := len(phrases)
-	recs := make([]core.IngredientRecord, n)
-	done := make([]bool, n)
-	keys := make([]string, n)
-	keyOK := make([]bool, n)
-	hits := 0
-	for i, p := range phrases {
-		key, kerr := core.CanonicalKey(p)
-		if kerr != nil {
-			continue // decodes (and rejects) below
-		}
-		keys[i], keyOK[i] = key, true
-		if rec, ok := s.cache.Get(key, st.gen); ok {
-			rec.Phrase = p
-			recs[i] = rec
-			done[i] = true
-			hits++
-		}
-	}
-	// Saturation is sampled at arrival: a batch's own miss admission
-	// must not make its hits look degraded. The counter moves only
-	// when the batch is actually served (below) — hits in a batch that
-	// sheds on its miss weight were never answered.
-	degraded := hits > 0 && s.limiter.Saturated()
-	var rejs []quarantine.Rejection
-	missIdx := make(map[string]int) // raw phrase → index into miss slices
-	var missPhrases []string
-	var missKeys []string
-	var missKeyOK []bool
-	for i, p := range phrases {
-		if done[i] {
-			continue
-		}
-		if _, seen := missIdx[p]; seen {
-			continue
-		}
-		missIdx[p] = len(missPhrases)
-		missPhrases = append(missPhrases, p)
-		missKeys = append(missKeys, keys[i])
-		missKeyOK = append(missKeyOK, keyOK[i])
-	}
-	fellBack := false
-	if len(missPhrases) > 0 {
-		tk := s.brk.Acquire()
-		if !tk.OK() {
-			// Breaker open: cache hits stand, every other slot resolves
-			// on the rules tier.
-			s.finishBatchRules(w, phrases, recs, done, nil)
-			return
-		}
-		release, ok := s.limiter.TryAcquire(len(missPhrases))
-		if !ok {
-			s.brk.Cancel(tk)
-			if s.cfg.Rules != nil {
-				if hits > 0 {
-					s.degradedHits.Add(int64(hits))
-				}
-				s.finishBatchRules(w, phrases, recs, done, nil)
-				return
-			}
-			s.shed(w)
-			return
-		}
-		defer release()
-		mrecs, mrejs, err := st.pipe.AnnotateIngredientsPartial(r.Context(), missPhrases)
-		if err != nil {
-			s.brk.Cancel(tk)
-			s.ctxError(w, err)
-			return
-		}
-		crfOK := batchCRFSuccess(mrejs)
-		s.brk.Done(tk, crfOK)
-		rulesRetry := !crfOK && s.cfg.Rules != nil
-		rejected := make(map[int]quarantine.Rejection, len(mrejs))
-		for _, rej := range mrejs {
-			rejected[rej.Index] = rej
-		}
-		for j := range missPhrases {
-			if _, bad := rejected[j]; !bad && missKeyOK[j] {
-				s.cache.Put(missKeys[j], st.gen, mrecs[j])
-			}
-		}
-		// Expand the deduplicated results back onto every slot. A
-		// duplicate of a rejected phrase rejects at every slot it
-		// occupies, exactly as the uncached per-slot decode would.
-		for i, p := range phrases {
-			if done[i] {
-				continue
-			}
-			j := missIdx[p]
-			if rej, bad := rejected[j]; bad {
-				if rulesRetry && isPanicCode(rej.Code) {
-					// The CRF tier panicked on this phrase: leave the
-					// slot undone for the rules tier below.
-					fellBack = true
-					continue
-				}
-				rej.Index = i
-				rejs = append(rejs, rej)
-				continue
-			}
-			rec := mrecs[j]
-			rec.Phrase = p
-			recs[i] = rec
-			done[i] = true
-		}
-	}
-	if degraded {
-		s.degradedHits.Add(int64(hits))
-	}
-	if fellBack {
-		s.finishBatchRules(w, phrases, recs, done, rejs)
-		return
-	}
-	writeBatch(w, n, recs, rejs, &s.quarantined)
+	writeJSONStatus(w, status, resp)
 }
 
 // modelRequest is the /model payload.
@@ -1133,9 +812,9 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	m, err := s.pipeline().ModelRecipeContext(r.Context(), req.Title, req.Cuisine, req.Ingredients, req.Instructions)
+	m, err := s.state().pipe.ModelRecipeContext(r.Context(), req.Title, req.Cuisine, req.Ingredients, req.Instructions)
 	if err != nil {
-		s.ctxError(w, err)
+		s.unserved(w, err)
 		return
 	}
 	profile, resolved := s.estimator.EstimateRecipe(m)

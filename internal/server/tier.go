@@ -1,31 +1,39 @@
-// The tiered annotation ladder (DESIGN §15). Annotation requests
-// resolve through four rungs, cheapest-healthy first:
+// The annotation resolver (DESIGN §13, §15). Both annotate endpoints
+// answer through one function, resolve, which takes a request's
+// phrases through the degradation ladder as a fixed sequence of
+// stages, each run once per request:
 //
-//	CRF tier  →  cache hot-set  →  rules tier  →  shed
+//	cache lookup → rules routing → dedup → admission → CRF decode →
+//	cache Put + agreement audit → rules fallback
 //
-// A circuit breaker (internal/breaker) watches CRF-tier health:
+// A phrase leaves the ladder at the first stage that answers it. A
+// circuit breaker (internal/breaker) watches CRF-tier health:
 // contained per-record panics, canary-rejected reloads, and query
 // shard budget overruns feed its sliding failure window. While the
-// breaker is closed the CRF tier serves as before (optionally
-// short-circuiting high-confidence phrases to the rules tier behind
-// Config.RulesRoute); when it trips, annotation endpoints degrade to
-// the deterministic gazetteer tier — 200 with degraded:true and
+// breaker is closed the CRF tier serves every miss (optionally after
+// the routing stage short-circuits high-confidence phrases to the
+// rules tier behind Config.RulesRoute); when it is open, or the
+// limiter is saturated, or a decode panics, the fallback stage answers
+// from the deterministic gazetteer tier — 200 with degraded:true and
 // tier:"rules" instead of a 429 or 500 — and half-open probes restore
-// the CRF tier automatically once decodes succeed again. Input-poison
+// the CRF tier automatically once decodes succeed again. Only with no
+// rules tier does such a miss shed the request with 429. Input-poison
 // rejections (bad UTF-8, caps, empty-after-clean) are the input's
 // fault, not the tier's: they answer 422 from either tier, never feed
 // the breaker, and are byte-identical between tiers by construction
 // (both run core.Sanitize under the same policy).
 //
-// Everything here is opt-in: with Config.Rules nil the breaker is nil
-// (always admits, never trips) and every annotation response is
-// byte-identical to the pre-tier server — the differential contract
-// TestTierDifferential pins.
+// Everything tier-related is opt-in: with Config.Rules nil the breaker
+// is nil (always admits, never trips), the routing and fallback stages
+// never run, and every annotation response is byte-identical to the
+// pre-tier server — the differential contract TestTierDifferential
+// pins.
 package server
 
 import (
+	"context"
 	"errors"
-	"net/http"
+	"strconv"
 
 	"recipemodel/internal/breaker"
 	"recipemodel/internal/core"
@@ -40,11 +48,6 @@ type RulesAnnotator interface {
 	Annotate(phrase string) (core.IngredientRecord, float64, error)
 }
 
-// errCRFOpen marks a decode denied by the open breaker: the request
-// (and any waiters coalesced behind it) must fall through to the
-// rules tier.
-var errCRFOpen = errors.New("crf tier circuit open")
-
 // tierRecord is the degraded /annotate payload: the rules-tier record
 // with the degradation markers appended, so clients that only read
 // the record fields parse both shapes identically.
@@ -54,113 +57,247 @@ type tierRecord struct {
 	Tier     string `json:"tier"`
 }
 
-// isCRFFailure classifies a decode error as a CRF-tier failure (a
-// contained pipeline panic) as opposed to input poison. Only tier
-// failures feed the breaker window.
-func isCRFFailure(err error) bool {
-	return errors.Is(err, quarantine.ErrTaggerPanic) || errors.Is(err, quarantine.ErrParserPanic)
+// rung names the ladder stage that answered a slot.
+type rung uint8
+
+const (
+	rungMiss   rung = iota // not answered yet
+	rungCache              // cache hit, including a flight leader's re-check
+	rungRouted             // healthy-mode routing to the rules tier
+	rungCRF                // fresh CRF decode (shared by coalesced waiters)
+	rungRules              // rules-tier fallback
+)
+
+// slot is resolve's answer for one phrase: a record, or a typed
+// rejection when rej.Code is set, tagged with the rung that produced
+// it.
+type slot struct {
+	rec  core.IngredientRecord
+	rej  quarantine.Rejection
+	rung rung
 }
 
-// isPanicCode is isCRFFailure on the rejection-code form.
+func (sl slot) rejected() bool { return sl.rej.Code != "" }
+
+// errShed reports a request with a miss no rung could answer: the
+// limiter is saturated and no rules tier is configured, so the whole
+// request sheds with 429.
+var errShed = errors.New("limiter saturated; uncached decode shed")
+
+// isPanicCode classifies a rejection as a CRF-tier failure (a
+// contained pipeline panic) as opposed to input poison. Only tier
+// failures feed the breaker window.
 func isPanicCode(code quarantine.Code) bool {
 	return code == quarantine.CodeTaggerPanic || code == quarantine.CodeParserPanic
 }
 
-// batchCRFSuccess folds a batch decode's rejections into one breaker
-// outcome: the batch counts as a tier failure iff any record hit a
-// contained pipeline panic.
-func batchCRFSuccess(rejs []quarantine.Rejection) bool {
-	for _, rej := range rejs {
-		if isPanicCode(rej.Code) {
-			return false
-		}
-	}
-	return true
+// flightKey scopes a coalescing key to the serving generation, so a
+// reload mid-herd starts a fresh flight against the new model instead
+// of handing new-generation requests an old leader's result. Flights
+// key on the raw phrase (not the canonical key): identical requests —
+// the thundering-herd shape — still coalesce perfectly, and sharing
+// only between byte-identical phrases keeps every response, including
+// error details that echo the input, byte-identical to an uncoalesced
+// decode.
+func flightKey(gen uint64, phrase string) string {
+	return strconv.FormatUint(gen, 10) + "\x00" + phrase
 }
 
-// splitCRFFailures filters a batch's rejections: panic-class slots are
-// marked undone (so the rules tier re-serves them) and dropped from
-// the rejection list; input-poison rejections stand. Filters in place.
-func splitCRFFailures(rejs []quarantine.Rejection, done []bool) []quarantine.Rejection {
-	kept := rejs[:0]
-	for _, rej := range rejs {
-		if isPanicCode(rej.Code) {
-			done[rej.Index] = false
-			continue
-		}
-		kept = append(kept, rej)
-	}
-	return kept
-}
+// resolve answers phrases against the pinned serving state st, slot i
+// answering phrase i. single selects the decode: a /annotate request
+// coalesces with concurrent identical requests through s.flights and
+// decodes with AnnotateIngredientChecked, while a batch decodes its
+// distinct misses in one AnnotateIngredientsPartial call, which fans
+// out over the worker pool and honors ctx. The error is errShed, or
+// the context error of a decode the request deadline or the client
+// cut short; the request then goes unanswered.
+func (s *Server) resolve(ctx context.Context, st pipeState, phrases []string, single bool) ([]slot, error) {
+	slots := make([]slot, len(phrases))
+	keys := make([]string, len(phrases)) // "" for an unkeyable phrase
 
-// tryRouteRules is the healthy-mode short circuit: with routing
-// enabled and the breaker closed, a phrase the rules tier annotates
-// at or above Config.RulesThreshold confidence is answered from the
-// rules tier without touching the CRF pipeline (counted, plain
-// envelope — routing trades byte-identity for decode cost, which is
-// why it ships off by default). Reports whether the response was
-// written.
-func (s *Server) tryRouteRules(w http.ResponseWriter, phrase string) bool {
-	if s.cfg.Rules == nil || !s.cfg.RulesRoute || s.brk.State() != breaker.StateClosed {
-		return false
-	}
-	rec, conf, err := s.cfg.Rules.Annotate(phrase)
-	if err != nil || conf < s.cfg.RulesThreshold {
-		return false
-	}
-	rec.Phrase = phrase
-	s.rulesRouted.Add(1)
-	writeJSON(w, rec)
-	return true
-}
-
-// serveRulesDegraded answers one phrase from the rules tier with the
-// degradation markers — the third ladder rung. Poison input still
-// rejects 422 (identically to the CRF tier); with no rules tier
-// configured the request sheds.
-func (s *Server) serveRulesDegraded(w http.ResponseWriter, phrase string) {
-	if s.cfg.Rules == nil {
-		s.shed(w)
-		return
-	}
-	rec, _, err := s.cfg.Rules.Annotate(phrase)
-	if err != nil {
-		s.rejectPhrase(w, phrase, err)
-		return
-	}
-	rec.Phrase = phrase
-	s.rulesDegraded.Add(1)
-	writeJSON(w, tierRecord{IngredientRecord: rec, Degraded: true, Tier: "rules"})
-}
-
-// finishBatchRules resolves every unfinished slot of a batch through
-// the rules tier and writes the degraded envelope. Slots already
-// served from the cache keep their records — "every annotate request
-// answers 200 tier:rules or a cache hit" is exactly this function.
-func (s *Server) finishBatchRules(w http.ResponseWriter, phrases []string, recs []core.IngredientRecord, done []bool, rejs []quarantine.Rejection) {
-	if s.cfg.Rules == nil {
-		s.shed(w)
-		return
-	}
-	tiers := make([]string, len(phrases))
+	// Cache lookup. An unkeyable phrase stays a miss: the decode
+	// rejects it with the exact quarantine error. The cached record's
+	// derived fields depend only on the canonical key, so re-echoing
+	// the raw phrase makes a hit byte-identical to a decode.
+	hits := 0
 	for i, p := range phrases {
-		if done[i] {
-			continue
-		}
-		rec, _, err := s.cfg.Rules.Annotate(p)
+		key, err := core.CanonicalKey(p)
 		if err != nil {
-			rejs = append(rejs, quarantine.Reject(i, p, err))
 			continue
 		}
-		rec.Phrase = p
-		recs[i] = rec
-		tiers[i] = "rules"
-		s.rulesDegraded.Add(1)
+		keys[i] = key
+		if rec, ok := s.cache.Get(key, st.gen); ok {
+			rec.Phrase = p
+			slots[i] = slot{rec: rec, rung: rungCache}
+			hits++
+		}
 	}
-	writeBatchTier(w, len(phrases), recs, rejs, &s.quarantined, tiers, true, "rules")
+	// Saturation is sampled at arrival: the request's own miss
+	// admission must not make its hits look degraded.
+	degraded := hits > 0 && s.limiter.Saturated()
+
+	// Rules routing, then dedup of what is left by raw phrase (a
+	// 10k-phrase batch of "salt" decodes once; derived record fields
+	// depend only on the canonical key, but rejection details echo the
+	// input). While the breaker is closed, routing answers a miss the
+	// rules tier annotates at or above the threshold without a decode —
+	// a plain record that trades byte-identity for decode cost, which
+	// is why it ships off by default.
+	route := s.cfg.Rules != nil && s.cfg.RulesRoute && s.brk.State() == breaker.StateClosed
+	var misses, missKeys []string
+	seen := map[string]int{} // raw phrase → index into misses
+	for i, p := range phrases {
+		if slots[i].rung != rungMiss {
+			continue
+		}
+		if route {
+			if rec, conf, err := s.cfg.Rules.Annotate(p); err == nil && conf >= s.cfg.RulesThreshold {
+				rec.Phrase = p
+				slots[i] = slot{rec: rec, rung: rungRouted}
+				s.rulesRouted.Add(1)
+				continue
+			}
+		}
+		if _, ok := seen[p]; !ok {
+			seen[p] = len(misses)
+			misses = append(misses, p)
+			missKeys = append(missKeys, keys[i])
+		}
+	}
+
+	// crf is the admission, decode, and cache Put + audit stages for the
+	// distinct misses: one breaker ticket and one limiter acquisition
+	// weighted by their count. A result left at rungMiss was not decoded
+	// (breaker open or limiter saturated).
+	crf := func() ([]slot, error) {
+		out := make([]slot, len(misses))
+		tk := s.brk.Acquire()
+		if !tk.OK() {
+			return out, nil
+		}
+		release, ok := s.limiter.TryAcquire(len(misses))
+		if !ok {
+			s.brk.Cancel(tk)
+			return out, nil
+		}
+		defer release()
+		var recs []core.IngredientRecord
+		var rejs []quarantine.Rejection
+		if single {
+			rec, err := st.pipe.AnnotateIngredientChecked(misses[0])
+			recs = []core.IngredientRecord{rec}
+			if err != nil {
+				rejs = []quarantine.Rejection{quarantine.Reject(0, misses[0], err)}
+			}
+		} else {
+			var err error
+			if recs, rejs, err = st.pipe.AnnotateIngredientsPartial(ctx, misses); err != nil {
+				s.brk.Cancel(tk)
+				return nil, err
+			}
+		}
+		for j, rec := range recs {
+			out[j] = slot{rec: rec, rung: rungCRF}
+		}
+		crfOK := true
+		for _, rej := range rejs {
+			out[rej.Index] = slot{rej: rej, rung: rungCRF}
+			crfOK = crfOK && !isPanicCode(rej.Code)
+		}
+		s.brk.Done(tk, crfOK)
+		for j, o := range out {
+			if o.rejected() {
+				continue
+			}
+			if missKeys[j] != "" {
+				s.cache.Put(missKeys[j], st.gen, o.rec)
+			}
+			s.maybeAudit(misses[j], o.rec)
+		}
+		return out, nil
+	}
+
+	var out []slot
+	switch {
+	case len(misses) == 0:
+	case single:
+		// The ticket and the admission unit are leader-only: waiters
+		// coalesced behind this flight share its outcome (and its
+		// fallback) without consuming half-open probe slots.
+		o, _, err := s.flights.Do(ctx, flightKey(st.gen, misses[0]), func() (slot, error) {
+			// Re-check inside the flight: a leader that won the race
+			// against a just-finished Put finds the entry here instead
+			// of decoding again — what makes "one herd, one decode"
+			// exact rather than probabilistic.
+			if missKeys[0] != "" {
+				if rec, ok := s.cache.Get(missKeys[0], st.gen); ok {
+					return slot{rec: rec, rung: rungCache}, nil
+				}
+			}
+			d, err := crf()
+			if err != nil {
+				return slot{}, err
+			}
+			return d[0], nil
+		})
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
+		}
+		if err != nil {
+			// A failed flight (an injected leader fault) answers like a
+			// failed decode.
+			o = slot{rej: quarantine.Reject(0, misses[0], err), rung: rungCRF}
+		}
+		out = []slot{o}
+	default:
+		var err error
+		if out, err = crf(); err != nil {
+			return nil, err
+		}
+	}
+
+	// Expand the distinct results back onto every slot; a duplicate of a
+	// rejected phrase rejects at every slot it occupies, exactly as a
+	// per-slot decode would. Then the rules fallback: a slot the CRF
+	// tier did not answer (breaker open, limiter saturated) or answered
+	// with a contained panic is answered by the rules tier, which needs
+	// no admission. Without a rules tier such a slot sheds the request;
+	// that happens only when nothing was decoded, so no slot has been
+	// counted yet.
+	for i, p := range phrases {
+		if slots[i].rung != rungMiss {
+			continue
+		}
+		o := out[seen[p]]
+		if o.rung == rungMiss || s.cfg.Rules != nil && isPanicCode(o.rej.Code) {
+			if s.cfg.Rules == nil {
+				return nil, errShed
+			}
+			rec, _, err := s.cfg.Rules.Annotate(p)
+			o = slot{rec: rec, rung: rungRules}
+			if err != nil {
+				o = slot{rej: quarantine.Reject(i, p, err), rung: rungRules}
+			}
+		}
+		switch {
+		case o.rejected():
+			o.rej.Index = i
+			s.quarantined.Observe(o.rej.Code)
+		case o.rung == rungCRF:
+			s.crfServed.Add(1)
+		case o.rung == rungRules:
+			s.rulesDegraded.Add(1)
+		}
+		o.rec.Phrase = p
+		slots[i] = o
+	}
+	if degraded {
+		s.degradedHits.Add(int64(hits))
+	}
+	return slots, nil
 }
 
-// maybeAudit runs the sampled cross-tier agreement check: every
+// maybeAudit is the agreement-audit half of resolve's Put stage: every
 // Config.AgreementSample-th successful CRF decode is re-annotated by
 // the rules tier and compared field for field (when the rules tier is
 // confident enough to have an opinion). Disagreements are counted on
@@ -200,10 +337,12 @@ type tierStatus struct {
 	Enabled bool `json:"enabled"`
 	// RouteEnabled mirrors Config.RulesRoute.
 	RouteEnabled bool `json:"route_enabled"`
-	// CRFServed counts requests answered with a fresh CRF decode.
+	// CRFServed counts phrases, on either endpoint, answered by a fresh
+	// CRF decode (coalesced waiters and in-batch duplicates included;
+	// cache hits, the in-flight re-check included, are not).
 	CRFServed int64 `json:"crf_served"`
-	// RulesRouted counts healthy-mode short circuits to the rules
-	// tier.
+	// RulesRouted counts phrases short-circuited to the rules tier by
+	// healthy-mode routing.
 	RulesRouted int64 `json:"rules_routed"`
 	// RulesDegradedServed counts phrases answered by the rules tier
 	// because the CRF tier was open, saturated, or panicking.
