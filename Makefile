@@ -4,6 +4,7 @@
 # worker pools.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build vet test test-race verify lint staticcheck bench bench-parallel bench-smoke bench-baseline bench-compare bench-tiers profile tables crash-test poison-test herd-test tier-test query-chaos-test fuzz-smoke clean
 
@@ -13,8 +14,13 @@ build:
 # perfbench is its own module (it builds against this checkout through a
 # replace directive), so `./...` at the root does not reach it; vetting
 # it here makes a server API change that breaks the benchmark program
-# fail tier-1.
+# fail tier-1. The gofmt gate fails when any Go file in the tree (the
+# perfbench module included) is not gofmt-formatted.
 vet:
+	@unformatted=$$($(GOFMT) -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 

@@ -1,7 +1,9 @@
 package recipemodel
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -28,33 +30,35 @@ var batchPhrases = []string{
 }
 
 // TestAnnotateIngredientsMatchesSerial is the determinism contract of
-// the batch API: workers=1 and workers=8 must produce identical
-// records, each identical to the single-phrase method.
+// the batch API: at every worker count each record must equal the
+// single-phrase method. The two poison phrases (empty, token bomb) are
+// rejected inside the batch path, so their slots pin the echo-record
+// contract: a rejected slot holds AnnotateIngredient's record too.
 func TestAnnotateIngredientsMatchesSerial(t *testing.T) {
-	serial := batchAt(t, 1, func(p *Pipeline) []IngredientRecord {
-		return p.AnnotateIngredients(batchPhrases)
-	})
-	if len(serial) != len(batchPhrases) {
-		t.Fatalf("want %d records, got %d", len(batchPhrases), len(serial))
+	phrases := append([]string{""}, batchPhrases...)
+	phrases = append(phrases, strings.Repeat("a ", 30_000))
+	want := make([]IngredientRecord, len(phrases))
+	for i, phrase := range phrases {
+		want[i] = pipe(t).AnnotateIngredient(phrase)
 	}
-	for i, phrase := range batchPhrases {
-		if one := pipe(t).AnnotateIngredient(phrase); !reflect.DeepEqual(one, serial[i]) {
-			t.Fatalf("batch[%d] != AnnotateIngredient(%q):\n%+v\n%+v", i, phrase, serial[i], one)
-		}
-	}
-	for _, w := range []int{2, 8} {
-		par := batchAt(t, w, func(p *Pipeline) []IngredientRecord {
-			return p.AnnotateIngredients(batchPhrases)
+	for _, w := range []int{1, 2, 8} {
+		got := batchAt(t, w, func(p *Pipeline) []IngredientRecord {
+			return p.AnnotateIngredients(phrases)
 		})
-		if !reflect.DeepEqual(par, serial) {
-			t.Fatalf("workers=%d batch diverged from serial", w)
+		if len(got) != len(phrases) {
+			t.Fatalf("workers=%d: want %d records, got %d", w, len(phrases), len(got))
+		}
+		for i := range phrases {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("workers=%d: batch[%d] != AnnotateIngredient(phrases[%d]):\n%.200v\n%.200v", w, i, i, got[i], want[i])
+			}
 		}
 	}
 }
 
 // TestAnnotateInstructionsMatchesSerial covers the instruction stack:
 // spans, parse trees and relations must all agree across worker
-// counts.
+// counts, and clean steps are never rejected.
 func TestAnnotateInstructionsMatchesSerial(t *testing.T) {
 	steps := []string{
 		"Bring the water to a boil in a large pot.",
@@ -63,12 +67,15 @@ func TestAnnotateInstructionsMatchesSerial(t *testing.T) {
 		"Mix the flour and sugar in a bowl.",
 		"Simmer for 10 minutes.",
 	}
-	serial := batchAt(t, 1, func(p *Pipeline) []InstructionAnnotation {
-		return p.AnnotateInstructions(steps)
-	})
-	par := batchAt(t, 8, func(p *Pipeline) []InstructionAnnotation {
-		return p.AnnotateInstructions(steps)
-	})
+	annotate := func(p *Pipeline) []InstructionAnnotation {
+		anns, rejs, err := p.AnnotateInstructionsPartial(context.Background(), steps)
+		if err != nil || len(rejs) != 0 {
+			t.Fatalf("workers=%d: err = %v, rejections = %+v", p.Workers(), err, rejs)
+		}
+		return anns
+	}
+	serial := batchAt(t, 1, annotate)
+	par := batchAt(t, 8, annotate)
 	if !reflect.DeepEqual(par, serial) {
 		t.Fatal("workers=8 instruction batch diverged from serial")
 	}

@@ -8,6 +8,7 @@ package recipemodel
 // paper-scale artifacts are produced by cmd/benchtables.
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
@@ -178,7 +179,10 @@ func BenchmarkConclusionStats(b *testing.B) {
 	ins := experiments.RunInstruction(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunConclusion(cfg, ing.Models[experiments.CorpusBoth], ins.Tagger)
+		res, err := experiments.RunConclusion(context.Background(), cfg, ing.Models[experiments.CorpusBoth], ins.Tagger)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(res.RelationsPerStep.Mean, "rel-mean")
 		b.ReportMetric(res.RelationsPerStep.StdDev, "rel-std")
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -137,7 +138,10 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if want("conclusion") {
-		res := experiments.RunConclusion(cfg, ing.Models[experiments.CorpusBoth], ins.Tagger)
+		res, err := experiments.RunConclusion(context.Background(), cfg, ing.Models[experiments.CorpusBoth], ins.Tagger)
+		if err != nil {
+			return err
+		}
 		if err := emit("conclusion.txt", res.Render()); err != nil {
 			return err
 		}

@@ -68,10 +68,10 @@ type report struct {
 		Note   string `json:"note"`
 	} `json:"machine"`
 	Corpus struct {
-		PoolAllRecipes int   `json:"pool_allrecipes"`
-		PoolFoodCom    int   `json:"pool_foodcom"`
-		Train          int   `json:"train_sentences"`
-		Test           int   `json:"test_sentences"`
+		PoolAllRecipes int     `json:"pool_allrecipes"`
+		PoolFoodCom    int     `json:"pool_foodcom"`
+		Train          int     `json:"train_sentences"`
+		Test           int     `json:"test_sentences"`
 		Epochs         int     `json:"crf_epochs"`
 		NoiseRate      float64 `json:"noise_rate"`
 		Seed           int64   `json:"seed"`

@@ -77,40 +77,13 @@ import (
 
 	"recipemodel"
 	"recipemodel/internal/breaker"
-	"recipemodel/internal/core"
 	"recipemodel/internal/faults"
 	"recipemodel/internal/index"
-	"recipemodel/internal/quarantine"
 	"recipemodel/internal/resilience"
 	"recipemodel/internal/rules"
 	"recipemodel/internal/server"
 	"recipemodel/internal/snapshot"
 )
-
-// pipeAdapter bridges the public Pipeline to the server's interface.
-type pipeAdapter struct {
-	p *recipemodel.Pipeline
-}
-
-func (a pipeAdapter) AnnotateIngredient(phrase string) core.IngredientRecord {
-	return a.p.AnnotateIngredient(phrase)
-}
-
-func (a pipeAdapter) AnnotateIngredientChecked(phrase string) (core.IngredientRecord, error) {
-	return a.p.AnnotateIngredientChecked(phrase)
-}
-
-func (a pipeAdapter) AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]core.IngredientRecord, error) {
-	return a.p.AnnotateIngredientsContext(ctx, phrases)
-}
-
-func (a pipeAdapter) AnnotateIngredientsPartial(ctx context.Context, phrases []string) ([]core.IngredientRecord, []quarantine.Rejection, error) {
-	return a.p.AnnotateIngredientsPartial(ctx, phrases)
-}
-
-func (a pipeAdapter) ModelRecipeContext(ctx context.Context, title, cuisine string, ingredientLines []string, instructions string) (*core.RecipeModel, error) {
-	return a.p.ModelRecipeContext(ctx, title, cuisine, ingredientLines, instructions)
-}
 
 // storeLoader builds the hot-reload loader for a versioned model
 // store: every call loads the store's CURRENT version fresh, so a
@@ -122,7 +95,7 @@ func storeLoader(storePath string) func() (server.Pipeline, string, error) {
 		if err != nil {
 			return nil, version, err
 		}
-		return pipeAdapter{p}, version, nil
+		return p, version, nil
 	}
 }
 
@@ -163,7 +136,7 @@ func buildServer(modelPath, storePath string, corpusSize int, opts recipemodel.O
 		models := p.ModelRecipes(recipemodel.Inputs(recipemodel.SyntheticRecipes(corpusSize, 1)))
 		ix = index.New(models)
 	}
-	return server.NewWithConfig(pipeAdapter{p}, ix, cfg), nil
+	return server.NewWithConfig(p, ix, cfg), nil
 }
 
 // defaultCacheEntries bounds the annotation cache out of the box: at

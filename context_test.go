@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,32 +82,43 @@ func TestAnnotateIngredientsContextCancel(t *testing.T) {
 	}
 }
 
-// TestModelRecipesContextCancel covers the corpus-mining batch API.
-func TestModelRecipesContextCancel(t *testing.T) {
+// TestModelRecipesPartialCancel covers the corpus-mining batch API:
+// cancellation stops dispatch mid-corpus, and every recipe that was
+// dispatched is mined whole — its model equals the uncancelled run's.
+func TestModelRecipesPartialCancel(t *testing.T) {
 	p := pipe(t)
 	prev := p.Workers()
 	p.SetWorkers(2)
 	defer p.SetWorkers(prev)
 
 	inputs := Inputs(SyntheticRecipes(80, 7))
+	want, rejs, err := p.ModelRecipesPartial(context.Background(), inputs)
+	if err != nil || len(rejs) != 0 {
+		t.Fatalf("uncancelled run: err = %v, rejections = %+v", err, rejs)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var mined atomic.Int32
 	defer faults.Enable(core.FaultModel, faults.Fault{OnHit: func(hit int) {
-		mined.Store(int32(hit))
 		if hit == 3 {
 			cancel()
 		}
 	}})()
 
-	models, err := p.ModelRecipesContext(ctx, inputs)
+	models, rejs, err := p.ModelRecipesPartial(ctx, inputs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if len(rejs) != 0 {
+		t.Fatalf("rejections = %+v", rejs)
+	}
 	nonNil := 0
-	for _, m := range models {
-		if m != nil {
-			nonNil++
+	for i, m := range models {
+		if m == nil {
+			continue
+		}
+		nonNil++
+		if !reflect.DeepEqual(m, want[i]) {
+			t.Fatalf("model %d was cut short: differs from the uncancelled run", i)
 		}
 	}
 	if nonNil == 0 || nonNil >= len(inputs) {

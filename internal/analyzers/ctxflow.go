@@ -6,8 +6,9 @@
 //  1. context.Background() / context.TODO() are banned inside
 //     internal/ packages: library code receives its context, it never
 //     invents one. The documented exceptions are the non-ctx wrapper
-//     shims (AnnotateIngredients → AnnotateIngredientsContext, ...),
-//     which carry an explicit //recipelint:allow with the reason.
+//     shims (core ModelRecipe → ModelRecipeContext, faults.Inject →
+//     InjectIndexedContext), which carry an explicit
+//     //recipelint:allow with the reason.
 //  2. In any package, a function that takes a ctx parameter must not
 //     call context.Background()/TODO() or pass a nil context — it
 //     already has the right context to thread.

@@ -47,6 +47,26 @@ type RecipeModel struct {
 	Events []Event
 }
 
+// Named fault points planted in the pipeline hot paths (see
+// internal/faults). Disabled they cost one atomic load; armed they let
+// tests inject latency, panics, or call-count-exact callbacks to prove
+// cancellation, containment, and shedding without sleeps.
+const (
+	// FaultAnnotate fires at the top of every AnnotateIngredient call.
+	FaultAnnotate = "core.annotate"
+	// FaultInstruction fires at the top of every AnnotateInstruction call.
+	FaultInstruction = "core.instruction"
+	// FaultModel fires at the top of every ModelRecipeContext call
+	// (ModelRecipe and the batch miner included).
+	FaultModel = "core.model"
+)
+
+var (
+	_ = faults.MustRegister(FaultAnnotate)
+	_ = faults.MustRegister(FaultInstruction)
+	_ = faults.MustRegister(FaultModel)
+)
+
 // Pipeline bundles the trained components needed to model a recipe.
 type Pipeline struct {
 	POS            *postag.Tagger
@@ -142,9 +162,22 @@ func (p *Pipeline) AnnotateInstruction(step string) ([]ner.Span, *depparse.Tree,
 // ModelRecipe runs the full pipeline over a raw recipe: ingredient
 // lines and instruction text (steps split on sentence boundaries).
 func (p *Pipeline) ModelRecipe(title, cuisine string, ingredientLines []string, instructionText string) *RecipeModel {
-	_ = faults.Inject(FaultModel)
+	m, _ := p.ModelRecipeContext(context.Background(), title, cuisine, ingredientLines, instructionText) //recipelint:allow ctxflow documented non-ctx wrapper shim over ModelRecipeContext
+	return m
+}
+
+// ModelRecipeContext mines one recipe, checking ctx between ingredient
+// lines and between instruction steps so a request deadline can stop a
+// pathological recipe mid-way. On cancellation it returns the partial
+// model together with ctx.Err(); the completed portions are identical
+// to what an uncancelled run produces.
+func (p *Pipeline) ModelRecipeContext(ctx context.Context, title, cuisine string, ingredientLines []string, instructionText string) (*RecipeModel, error) {
+	_ = faults.InjectContext(ctx, FaultModel)
 	m := &RecipeModel{Title: title, Cuisine: cuisine}
 	for _, line := range ingredientLines {
+		if err := ctx.Err(); err != nil {
+			return m, err
+		}
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
@@ -153,12 +186,16 @@ func (p *Pipeline) ModelRecipe(title, cuisine string, ingredientLines []string, 
 	steps := tokenize.SplitSentences(instructionText)
 	var perStep [][]relations.Relation
 	for _, step := range steps {
+		if err := ctx.Err(); err != nil {
+			m.Events = relations.Chain(perStep)
+			return m, err
+		}
 		m.Instructions = append(m.Instructions, step)
 		_, _, rels := p.AnnotateInstruction(step)
 		perStep = append(perStep, rels)
 	}
 	m.Events = relations.Chain(perStep)
-	return m
+	return m, ctx.Err()
 }
 
 // InstructionAnnotation bundles the full instruction-stack output for
@@ -178,36 +215,6 @@ type RecipeInput struct {
 	Cuisine         string
 	IngredientLines []string
 	Instructions    string
-}
-
-// All pipeline components are read-only after construction (the CRF
-// and perceptron weight maps are only written during training, the
-// lemmatizer and gazetteers are static tables), so one Pipeline may
-// serve any number of goroutines. The batch methods below exploit
-// that: they fan pure per-item annotation out over a bounded worker
-// pool with ordered result collection, making batch output
-// byte-identical to a serial loop at any worker count.
-
-// AnnotateIngredients decomposes a batch of ingredient phrases on up
-// to workers goroutines (<= 0: all CPUs). Result i corresponds to
-// phrases[i] and is identical to AnnotateIngredient(phrases[i]).
-func (p *Pipeline) AnnotateIngredients(phrases []string, workers int) []IngredientRecord {
-	out, _ := p.AnnotateIngredientsContext(context.Background(), phrases, workers) //recipelint:allow ctxflow documented non-ctx wrapper shim over the Context API
-	return out
-}
-
-// AnnotateInstructions runs the instruction stack over a batch of
-// steps on up to workers goroutines (<= 0: all CPUs).
-func (p *Pipeline) AnnotateInstructions(steps []string, workers int) []InstructionAnnotation {
-	out, _ := p.AnnotateInstructionsContext(context.Background(), steps, workers) //recipelint:allow ctxflow documented non-ctx wrapper shim over the Context API
-	return out
-}
-
-// ModelRecipes mines a corpus of raw recipes into recipe models, one
-// recipe per pool slot. Result i corresponds to recipes[i].
-func (p *Pipeline) ModelRecipes(recipes []RecipeInput, workers int) []*RecipeModel {
-	out, _ := p.ModelRecipesContext(context.Background(), recipes, workers) //recipelint:allow ctxflow documented non-ctx wrapper shim over the Context API
-	return out
 }
 
 // BuildDictionaries runs the instruction NER over a corpus of steps

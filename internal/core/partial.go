@@ -1,9 +1,20 @@
-// Partial-result batch APIs: the containment-aware twins of the batch
-// methods. Each record is processed under a per-record recover inside
-// the worker function — the pool's ordering and cancellation
-// contracts are untouched — and poison records come back as typed
-// quarantine rejections alongside the N-1 good results, which are
-// byte-identical to the same records in a clean run.
+// Batch APIs: one per workload (ingredient phrases, instruction
+// steps, whole recipes), each of the form XxxPartial(ctx, items,
+// workers).
+//
+// All pipeline components are read-only after construction (the CRF
+// and perceptron weight maps are only written during training, the
+// lemmatizer and gazetteers are static tables), so one Pipeline may
+// serve any number of goroutines. The batch methods fan per-item
+// annotation out over a bounded worker pool with ordered result
+// collection, making batch output byte-identical to a serial loop at
+// any worker count. Each record is processed under a per-record
+// recover inside the worker function — the pool's ordering and
+// cancellation contracts are untouched — and poison records come back
+// as typed quarantine rejections alongside the N-1 good results,
+// which are byte-identical to the same records in a clean run. On
+// cancellation no new record is dispatched, in-flight records finish,
+// and the partial results are returned with ctx.Err().
 
 package core
 
@@ -24,20 +35,17 @@ const FaultRecord = "core.record"
 
 var _ = faults.MustRegister(FaultRecord)
 
-// outcome is one worker-slot result: the value, a typed rejection, and
-// a dispatch marker distinguishing "processed" from "cancelled before
-// dispatch" (whose slot stays the zero outcome).
+// outcome is one worker-slot result: the value and a typed rejection.
+// A slot cancelled before dispatch stays the zero outcome.
 type outcome[R any] struct {
-	res  R
-	err  error
-	done bool
+	res R
+	err error
 }
 
 // contained runs one record's work with full containment: the indexed
 // fault point fires first (inside the recover, so injected panics are
 // contained like organic ones), then fn.
 func contained[R any](i int, fallback quarantine.Code, fn func() (R, error)) (o outcome[R]) {
-	o.done = true
 	defer func() {
 		if r := recover(); r != nil {
 			o.err = panicError(r, fallback)
@@ -52,33 +60,32 @@ func contained[R any](i int, fallback quarantine.Code, fn func() (R, error)) (o 
 }
 
 // collect splits per-slot outcomes into the aligned result slice and
-// the rejection list (index-ordered). Rejected and undispatched slots
-// hold zero values; callers distinguish them by the rejection list —
-// and, under cancellation, by the pool's contiguous-prefix guarantee:
-// every slot before the first undispatched one is either a result or
-// a rejection.
+// the rejection list (index-ordered). A rejected slot keeps the
+// worker's own value: the echo record the checked annotators return,
+// or the zero value when the worker panicked. Undispatched slots hold
+// zero values; callers distinguish them by the rejection list — and,
+// under cancellation, by the pool's contiguous-prefix guarantee: every
+// slot before the first undispatched one is either a result or a
+// rejection.
 func collect[R any](outs []outcome[R], echo func(i int) string) ([]R, []quarantine.Rejection) {
 	res := make([]R, len(outs))
 	var rejs []quarantine.Rejection
 	for i, o := range outs {
-		switch {
-		case !o.done:
-		case o.err != nil:
+		res[i] = o.res
+		if o.err != nil {
 			rejs = append(rejs, quarantine.Reject(i, echo(i), o.err))
-		default:
-			res[i] = o.res
 		}
 	}
 	return res, rejs
 }
 
-// AnnotateIngredientsPartial is AnnotateIngredientsContext with
-// record-level containment: record i of the result corresponds to
-// phrases[i] and is byte-identical to a clean AnnotateIngredient call;
-// poison phrases appear in the rejection list (typed, index-ordered)
-// instead of aborting the batch. The error is ctx.Err() when the run
-// was cancelled, nil otherwise — rejections alone never produce an
-// error.
+// AnnotateIngredientsPartial decomposes a batch of ingredient phrases
+// on up to workers goroutines (<= 0: all CPUs). Record i corresponds
+// to phrases[i] and equals AnnotateIngredient(phrases[i]), echo
+// records of poison phrases included; poison phrases also appear in
+// the rejection list (typed, index-ordered) instead of aborting the
+// batch. The error is ctx.Err() when the run was cancelled, nil
+// otherwise — rejections alone never produce an error.
 func (p *Pipeline) AnnotateIngredientsPartial(ctx context.Context, phrases []string, workers int) ([]IngredientRecord, []quarantine.Rejection, error) {
 	outs, err := parallel.MapOrderedCtx(ctx, workers, phrases, func(i int, phrase string) outcome[IngredientRecord] {
 		return contained(i, quarantine.CodeRecordPanic, func() (IngredientRecord, error) {
@@ -89,9 +96,8 @@ func (p *Pipeline) AnnotateIngredientsPartial(ctx context.Context, phrases []str
 	return recs, rejs, err
 }
 
-// AnnotateInstructionsPartial is the containment-aware form of
-// AnnotateInstructionsContext (same contract as
-// AnnotateIngredientsPartial).
+// AnnotateInstructionsPartial runs the instruction stack over a batch
+// of steps (same contract as AnnotateIngredientsPartial).
 func (p *Pipeline) AnnotateInstructionsPartial(ctx context.Context, steps []string, workers int) ([]InstructionAnnotation, []quarantine.Rejection, error) {
 	outs, err := parallel.MapOrderedCtx(ctx, workers, steps, func(i int, step string) outcome[InstructionAnnotation] {
 		return contained(i, quarantine.CodeRecordPanic, func() (InstructionAnnotation, error) {
@@ -102,16 +108,19 @@ func (p *Pipeline) AnnotateInstructionsPartial(ctx context.Context, steps []stri
 	return anns, rejs, err
 }
 
-// ModelRecipesPartial is the containment-aware form of
-// ModelRecipesContext: one recipe per pool slot, a poison recipe
-// yields a nil slot plus a typed rejection (echoing the recipe title),
-// and the surviving models are byte-identical to the same recipes in
-// a clean run. Under cancellation the processed slots form a
-// contiguous prefix and ctx.Err() is returned.
+// ModelRecipesPartial mines a corpus of raw recipes, one recipe per
+// pool slot: a poison recipe yields a nil slot plus a typed rejection
+// (echoing the recipe title), and the surviving models are
+// byte-identical to the same recipes in a clean run. Cancellation
+// gates dispatch, never a recipe mid-mine: each worker mines under
+// context.WithoutCancel, so every dispatched recipe finishes whole.
+// Under cancellation the processed slots form a contiguous prefix and
+// ctx.Err() is returned.
 func (p *Pipeline) ModelRecipesPartial(ctx context.Context, recipes []RecipeInput, workers int) ([]*RecipeModel, []quarantine.Rejection, error) {
+	mine := context.WithoutCancel(ctx)
 	outs, err := parallel.MapOrderedCtx(ctx, workers, recipes, func(i int, r RecipeInput) outcome[*RecipeModel] {
 		return contained(i, quarantine.CodeRecordPanic, func() (*RecipeModel, error) {
-			return p.ModelRecipe(r.Title, r.Cuisine, r.IngredientLines, r.Instructions), nil //recipelint:allow ctxflow in-flight records finish whole; cancellation stops dispatch, not a record mid-mine
+			return p.ModelRecipeContext(mine, r.Title, r.Cuisine, r.IngredientLines, r.Instructions)
 		})
 	})
 	models, rejs := collect(outs, func(i int) string { return recipes[i].Title })

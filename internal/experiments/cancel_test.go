@@ -34,7 +34,7 @@ func TestRunConclusionContextCancel(t *testing.T) {
 	}})()
 
 	before := runtime.NumGoroutine()
-	res, err := RunConclusionContext(ctx, cfg, ing.Models[CorpusBoth], ins.Tagger)
+	res, err := RunConclusion(ctx, cfg, ing.Models[CorpusBoth], ins.Tagger)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

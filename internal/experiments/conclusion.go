@@ -17,7 +17,7 @@ import (
 )
 
 // FaultMine fires once per recipe inside the corpus-mining pool of
-// RunConclusionContext (see internal/faults).
+// RunConclusion (see internal/faults).
 const FaultMine = "experiments.mine"
 
 var _ = faults.MustRegister(FaultMine)
@@ -38,17 +38,11 @@ type ConclusionResult struct {
 
 // RunConclusion applies the trained pipeline to cfg.ConclusionRecipes
 // synthetic recipes (half per source), extracting relations from every
-// instruction and ingredient names from every phrase.
-func RunConclusion(cfg Config, ingredientNER, instructionNER *ner.Tagger) *ConclusionResult {
-	res, _ := RunConclusionContext(context.Background(), cfg, ingredientNER, instructionNER) //recipelint:allow ctxflow documented non-ctx wrapper shim over the Context API
-	return res
-}
-
-// RunConclusionContext is the cancellable corpus-mining run: when ctx
-// is cancelled the pool stops dispatching recipes, drains its workers,
+// instruction and ingredient names from every phrase. When ctx is
+// cancelled the pool stops dispatching recipes, drains its workers,
 // and the statistics over the recipes mined so far are returned with
 // ctx.Err() (Recipes reports how many were actually mined).
-func RunConclusionContext(ctx context.Context, cfg Config, ingredientNER, instructionNER *ner.Tagger) (*ConclusionResult, error) {
+func RunConclusion(ctx context.Context, cfg Config, ingredientNER, instructionNER *ner.Tagger) (*ConclusionResult, error) {
 	pipe := core.NewPipeline(nil, ingredientNER, instructionNER, nil)
 
 	// Recipe generation is sequential (the generators own their RNGs),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -195,7 +196,10 @@ func TestRunConclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := RunInstruction(cfg)
-	res := RunConclusion(cfg, ing.Models[CorpusBoth], ins.Tagger)
+	res, err := RunConclusion(context.Background(), cfg, ing.Models[CorpusBoth], ins.Tagger)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Recipes != cfg.ConclusionRecipes {
 		t.Fatalf("recipes = %d", res.Recipes)
 	}

@@ -171,147 +171,3 @@ func TestMapOrderedCtxNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
 	}
 }
-
-func TestForEachIndexCtxCoversAllUncancelled(t *testing.T) {
-	var hits [311]int32
-	if err := ForEachIndexCtx(context.Background(), 8, len(hits), func(i int) {
-		atomic.AddInt32(&hits[i], 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-}
-
-// TestForEachIndexCtxCancelSkipsTail: cancellation inside a chunk must
-// stop the remaining indices of that chunk (the per-index check), not
-// just future chunks.
-func TestForEachIndexCtxCancelSkipsTail(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	const n = 10_000
-	var calls atomic.Int32
-	err := ForEachIndexCtx(ctx, 2, n, func(i int) {
-		if calls.Add(1) == 3 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if c := calls.Load(); int(c) >= n {
-		t.Fatalf("all %d indices ran despite cancellation", c)
-	}
-}
-
-func TestForEachRangeCtxUncancelled(t *testing.T) {
-	var total atomic.Int32
-	if err := ForEachRangeCtx(context.Background(), 4, Chunks(100, 8), func(_ int, r Range) {
-		total.Add(int32(r.Hi - r.Lo))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if total.Load() != 100 {
-		t.Fatalf("ranges covered %d indices", total.Load())
-	}
-}
-
-// TestForEachRangeCtxKillResumePrefix: the chunked-write resume
-// contract. A killed run leaves fully-completed chunks as a contiguous
-// prefix of the range list (ordered dispatch + in-flight chunks
-// finish), so a resumer can re-run ranges[prefix:] and every index
-// ends up processed exactly once.
-func TestForEachRangeCtxKillResumePrefix(t *testing.T) {
-	ranges := Chunks(400, 16)
-	for _, killAt := range []int32{1, 5, 11} {
-		ctx, cancel := context.WithCancel(context.Background())
-		visits := make([]int32, 400)
-		completed := make([]int32, len(ranges))
-		var calls atomic.Int32
-		err := ForEachRangeCtx(ctx, 4, ranges, func(chunk int, r Range) {
-			for i := r.Lo; i < r.Hi; i++ {
-				atomic.AddInt32(&visits[i], 1)
-			}
-			atomic.StoreInt32(&completed[chunk], 1)
-			if calls.Add(1) == killAt {
-				cancel()
-			}
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("kill@%d: err = %v, want context.Canceled", killAt, err)
-		}
-		prefix := 0
-		for prefix < len(ranges) && completed[prefix] == 1 {
-			prefix++
-		}
-		if prefix == 0 || prefix >= len(ranges) {
-			t.Fatalf("kill@%d: prefix = %d of %d chunks", killAt, prefix, len(ranges))
-		}
-		for c := prefix; c < len(ranges); c++ {
-			if completed[c] == 1 {
-				t.Fatalf("kill@%d: chunk %d completed past the gap at %d", killAt, c, prefix)
-			}
-		}
-		// resume: run the undispatched tail on a fresh context.
-		if err := ForEachRangeCtx(context.Background(), 4, ranges[prefix:], func(_ int, r Range) {
-			for i := r.Lo; i < r.Hi; i++ {
-				atomic.AddInt32(&visits[i], 1)
-			}
-		}); err != nil {
-			t.Fatalf("kill@%d: resume err = %v", killAt, err)
-		}
-		for i, v := range visits {
-			if v != 1 {
-				t.Fatalf("kill@%d: index %d visited %d times after resume", killAt, i, v)
-			}
-		}
-	}
-}
-
-// TestForEachIndexCtxKillResume: per-index cancellation may skip the
-// tail of every in-flight chunk, so the survivors are NOT one prefix —
-// the guarantee is at-most-once. A resumer that re-runs exactly the
-// missed indices must land every index on exactly one visit.
-func TestForEachIndexCtxKillResume(t *testing.T) {
-	const n = 2000
-	for _, killAt := range []int32{1, 17, 200} {
-		ctx, cancel := context.WithCancel(context.Background())
-		visits := make([]int32, n)
-		var calls atomic.Int32
-		err := ForEachIndexCtx(ctx, 4, n, func(i int) {
-			atomic.AddInt32(&visits[i], 1)
-			if calls.Add(1) == killAt {
-				cancel()
-			}
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("kill@%d: err = %v, want context.Canceled", killAt, err)
-		}
-		var missing []int
-		for i, v := range visits {
-			if v > 1 {
-				t.Fatalf("kill@%d: index %d visited %d times", killAt, i, v)
-			}
-			if v == 0 {
-				missing = append(missing, i)
-			}
-		}
-		if len(missing) == 0 {
-			t.Fatalf("kill@%d: nothing left to resume", killAt)
-		}
-		if err := ForEachIndexCtx(context.Background(), 4, len(missing), func(k int) {
-			atomic.AddInt32(&visits[missing[k]], 1)
-		}); err != nil {
-			t.Fatalf("kill@%d: resume err = %v", killAt, err)
-		}
-		for i, v := range visits {
-			if v != 1 {
-				t.Fatalf("kill@%d: index %d at %d visits after resume", killAt, i, v)
-			}
-		}
-	}
-}

@@ -13,6 +13,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -33,6 +34,28 @@ func Workers(n int) int {
 // workers <= 1 (or a single item) it degenerates to a plain serial
 // loop with no goroutine overhead.
 func MapOrdered[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
+	return mapOrdered(nil, workers, items, fn)
+}
+
+// MapOrderedCtx is MapOrdered with cooperative cancellation: fn is
+// applied to items in index order across the pool, result i landing in
+// slot i. When ctx is cancelled, dispatch stops, in-flight calls run
+// to completion, every worker exits before the call returns, and the
+// partial results come back together with ctx.Err() — slots whose
+// items were never dispatched hold zero values. A nil error means
+// every item was processed. An uncancelled run is byte-identical to
+// MapOrdered at any worker count.
+func MapOrderedCtx[T, R any](ctx context.Context, workers int, items []T, fn func(i int, item T) R) ([]R, error) {
+	out := mapOrdered(ctx.Done(), workers, items, fn)
+	return out, ctx.Err()
+}
+
+// mapOrdered is the one pool loop behind MapOrdered and MapOrderedCtx.
+// Workers claim indices in order under a mutex and write result i to
+// slot i. Once done is closed no further index is claimed, so when the
+// in-flight calls finish the processed slots form a contiguous prefix;
+// a nil done never closes.
+func mapOrdered[T, R any](done <-chan struct{}, workers int, items []T, fn func(i int, item T) R) []R {
 	out := make([]R, len(items))
 	workers = Workers(workers)
 	if workers > len(items) {
@@ -40,6 +63,9 @@ func MapOrdered[T, R any](workers int, items []T, fn func(i int, item T) R) []R 
 	}
 	if workers <= 1 {
 		for i, it := range items {
+			if closed(done) {
+				return out
+			}
 			out[i] = fn(i, it)
 		}
 		return out
@@ -51,7 +77,7 @@ func MapOrdered[T, R any](workers int, items []T, fn func(i int, item T) R) []R 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for !closed(done) {
 				mu.Lock()
 				i := next
 				next++
@@ -65,6 +91,16 @@ func MapOrdered[T, R any](workers int, items []T, fn func(i int, item T) R) []R 
 	}
 	wg.Wait()
 	return out
+}
+
+// closed reports whether done has been closed without blocking.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Range is one contiguous half-open index interval [Lo, Hi).

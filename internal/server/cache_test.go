@@ -179,8 +179,8 @@ func differentialPhrases() []string {
 		"salt",
 		"2 cups onion",
 		"2 cups onion", // NBSP variant: same canonical key, different raw bytes
-		"   ",           // empty_after_clean rejection
-		"panic:boom",    // contained tagger panic rejection
+		"   ",          // empty_after_clean rejection
+		"panic:boom",   // contained tagger panic rejection
 		"1 tbsp butter",
 		"salt",
 		"2 eggs",

@@ -30,8 +30,8 @@ func chaosMix() []chaosRequest {
 	phrases := []string{
 		"salt", "2 cups onion", "salt", "1 tbsp butter",
 		"salt", "2 cups onion", "2 eggs", "salt",
-		"2 cups onion", // NBSP variant of the hot phrase
-		"   ",          // empty_after_clean rejection
+		"2 cups onion",       // NBSP variant of the hot phrase
+		"   ",                // empty_after_clean rejection
 		"salt", "panic:boom", // contained tagger panic rejection
 	}
 	reqs := make([]chaosRequest, 0, 128)

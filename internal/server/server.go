@@ -84,10 +84,9 @@ const FaultServe = "server.serve"
 var _ = faults.MustRegister(FaultServe)
 
 // Pipeline is the subset of the pipeline API the server needs;
-// satisfied by the public recipemodel.Pipeline via a thin adapter or
-// by core-level components directly. The batch and model calls take
-// the request context so a client disconnect or deadline stops the
-// worker-pool computation instead of leaking it.
+// the public *recipemodel.Pipeline satisfies it as is. The batch and
+// model calls take the request context so a client disconnect or
+// deadline stops the worker-pool computation instead of leaking it.
 type Pipeline interface {
 	AnnotateIngredient(phrase string) core.IngredientRecord
 	// AnnotateIngredientChecked is the containment-aware single-phrase

@@ -115,9 +115,9 @@ func DefaultOptions() Options {
 
 // Pipeline is a trained recipe-modeling pipeline. All components are
 // read-only after training, so one Pipeline may serve any number of
-// goroutines; the batch methods (AnnotateIngredients,
-// AnnotateInstructions, ModelRecipes) fan out over an internal worker
-// pool sized by SetWorkers.
+// goroutines; the batch methods (AnnotateIngredients*,
+// AnnotateInstructionsPartial, ModelRecipes*) fan out over an internal
+// worker pool sized by SetWorkers.
 type Pipeline struct {
 	inner     *core.Pipeline
 	estimator *nutrition.Estimator
@@ -204,9 +204,12 @@ func (p *Pipeline) AnnotateInstruction(step string) ([]EntitySpan, *DependencyTr
 // AnnotateIngredients decomposes a batch of ingredient phrases
 // concurrently (corpus-scale form of AnnotateIngredient; the paper
 // annotates 11.5M phrases). Result i corresponds to phrases[i] and is
-// byte-identical to the serial loop at any worker count.
+// byte-identical to the serial loop at any worker count. It is
+// AnnotateIngredientsPartial with the rejections dropped: a poison
+// phrase keeps its echo record.
 func (p *Pipeline) AnnotateIngredients(phrases []string) []IngredientRecord {
-	return p.inner.AnnotateIngredients(phrases, p.workers)
+	recs, _ := p.AnnotateIngredientsContext(context.Background(), phrases)
+	return recs
 }
 
 // AnnotateIngredientsContext is AnnotateIngredients with cooperative
@@ -216,33 +219,17 @@ func (p *Pipeline) AnnotateIngredients(phrases []string) []IngredientRecord {
 // ctx.Err(). An uncancelled call returns a nil error and results
 // byte-identical to AnnotateIngredients.
 func (p *Pipeline) AnnotateIngredientsContext(ctx context.Context, phrases []string) ([]IngredientRecord, error) {
-	return p.inner.AnnotateIngredientsContext(ctx, phrases, p.workers)
-}
-
-// AnnotateInstructions runs the instruction stack over a batch of
-// steps concurrently.
-func (p *Pipeline) AnnotateInstructions(steps []string) []InstructionAnnotation {
-	return p.inner.AnnotateInstructions(steps, p.workers)
-}
-
-// AnnotateInstructionsContext is the cancellable form of
-// AnnotateInstructions (same contract as AnnotateIngredientsContext).
-func (p *Pipeline) AnnotateInstructionsContext(ctx context.Context, steps []string) ([]InstructionAnnotation, error) {
-	return p.inner.AnnotateInstructionsContext(ctx, steps, p.workers)
+	recs, _, err := p.inner.AnnotateIngredientsPartial(ctx, phrases, p.workers)
+	return recs, err
 }
 
 // ModelRecipes mines a corpus of raw recipes concurrently, one recipe
 // per pool slot (the paper's 40,000-recipe mining run). Result i
-// corresponds to recipes[i].
+// corresponds to recipes[i]. It is ModelRecipesPartial with the
+// rejections dropped: a poison recipe leaves a nil slot.
 func (p *Pipeline) ModelRecipes(recipes []RecipeInput) []*RecipeModel {
-	return p.inner.ModelRecipes(recipes, p.workers)
-}
-
-// ModelRecipesContext is the cancellable form of ModelRecipes: on
-// cancellation the mined prefix is returned with ctx.Err(),
-// undispatched slots are nil, and no worker goroutine leaks.
-func (p *Pipeline) ModelRecipesContext(ctx context.Context, recipes []RecipeInput) ([]*RecipeModel, error) {
-	return p.inner.ModelRecipesContext(ctx, recipes, p.workers)
+	models, _, _ := p.inner.ModelRecipesPartial(context.Background(), recipes, p.workers)
+	return models
 }
 
 // AnnotateIngredientChecked is AnnotateIngredient with the typed
@@ -263,8 +250,9 @@ func (p *Pipeline) AnnotateIngredientsPartial(ctx context.Context, phrases []str
 	return p.inner.AnnotateIngredientsPartial(ctx, phrases, p.workers)
 }
 
-// AnnotateInstructionsPartial is the containment-aware form of
-// AnnotateInstructions (same contract as AnnotateIngredientsPartial).
+// AnnotateInstructionsPartial runs the instruction stack over a batch
+// of steps concurrently (same contract as
+// AnnotateIngredientsPartial).
 func (p *Pipeline) AnnotateInstructionsPartial(ctx context.Context, steps []string) ([]InstructionAnnotation, []Rejection, error) {
 	return p.inner.AnnotateInstructionsPartial(ctx, steps, p.workers)
 }
