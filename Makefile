@@ -106,11 +106,11 @@ profile: build
 	@echo "wrote cpu.prof and mem.prof (n=$(PROFILE_N)); inspect with: go tool pprof -top cpu.prof"
 
 # Crash-safety drills: kill-at-exact-call-count mining resumes
-# (byte-identical), store crash windows, checkpoint torn-tail
-# recovery, and hot-reload rejection paths.
+# (byte-identical), model- and snapshot-store crash windows,
+# checkpoint torn-tail recovery, and hot-reload rejection paths.
 crash-test:
 	$(GO) test ./cmd/recipemine -run 'TestMine(Crash|Resume|Interrupt|Refuses)' -count=1
-	$(GO) test ./internal/checkpoint ./internal/persist -count=1
+	$(GO) test ./internal/checkpoint ./internal/persist ./internal/snapshot -count=1
 	$(GO) test ./internal/server -run 'TestReload' -count=1
 
 # Poison-record drills: an index-targeted panic at any batch position

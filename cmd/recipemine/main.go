@@ -56,17 +56,17 @@ import (
 
 	"recipemodel"
 	"recipemodel/internal/checkpoint"
-	"recipemodel/internal/core"
 	"recipemodel/internal/faults"
 	"recipemodel/internal/quarantine"
 	"recipemodel/internal/recipedb"
 	"recipemodel/internal/snapshot"
 )
 
-// FaultEmit fires after every record a durable (-o) mine appends,
-// before any flush or checkpoint. Crash tests arm it with an error at
-// exact call counts to simulate a kill mid-run — unflushed bytes are
-// lost and the manifest is stale, exactly the state a SIGKILL leaves.
+// FaultEmit fires after every record a mine appends, before the
+// chunk's commit (any flush or checkpoint). Crash tests arm it on a
+// durable (-o) mine with an error at exact call counts to simulate a
+// kill mid-run — unflushed bytes are lost and the manifest is stale,
+// exactly the state a SIGKILL leaves.
 const FaultEmit = "recipemine.emit"
 
 var _ = faults.MustRegister(FaultEmit)
@@ -354,20 +354,52 @@ func cmdMine(ctx context.Context, args []string, out io.Writer) error {
 		return mineDurable(ctx, p, inputs, *output, *quarantinePath, *resume, *force, fp)
 	}
 
-	var sink *quarantine.Sink
+	var m miner
 	if *quarantinePath != "" {
-		sink, err = quarantine.Create(*quarantinePath)
+		m.sink, err = quarantine.Create(*quarantinePath)
 		if err != nil {
 			return err
 		}
-		defer sink.Close()
+		defer m.sink.Close()
 	}
-	var qc quarantine.Counters
 	bw := bufio.NewWriter(out)
-	enc := json.NewEncoder(bw)
+	m.enc = json.NewEncoder(bw)
+	m.commit = bw.Flush
+	interrupted, err := m.run(ctx, p, inputs)
+	if err != nil {
+		return err
+	}
+	if interrupted {
+		fmt.Fprintf(os.Stderr, "recipemine: interrupted; flushed %d/%d complete records; quarantined %s\n", m.mined, len(inputs), m.qc.Summary())
+		return nil
+	}
+	fmt.Fprintf(os.Stderr, "recipemine: mined %d/%d records; quarantined %s\n", m.mined, len(inputs), m.qc.Summary())
+	return nil
+}
+
+// miner is one mining run's loop state: where records and rejections
+// go, how far the run has got, and what each chunk's commit does.
+type miner struct {
+	enc  *json.Encoder
+	sink *quarantine.Sink // nil: rejections are counted, then discarded
+	qc   quarantine.Counters
+	// mined and quarantined count the inputs consumed so far; a
+	// resumed run starts them at its checkpoint's counts, and their sum
+	// is where the loop re-enters the corpus.
+	mined, quarantined int
+	// commit runs after every chunk, before a mid-chunk error returns:
+	// a flush on stdout; flush, fsync and checkpoint with -o.
+	commit func() error
+}
+
+// run is the one mining loop: it mines the unconsumed inputs chunk by
+// chunk on the pipeline's pool, encodes each model, routes each
+// rejection to the dead-letter sink, and commits after every chunk.
+// interrupted reports a cancellation, after which the committed output
+// holds every complete record mined and nothing more.
+func (m *miner) run(ctx context.Context, p *recipemodel.Pipeline, inputs []recipemodel.RecipeInput) (interrupted bool, err error) {
 	chunk := 4 * p.Workers()
-	mined := 0
-	for lo := 0; lo < len(inputs); lo += chunk {
+	for lo := m.mined + m.quarantined; lo < len(inputs); lo += chunk {
 		hi := min(lo+chunk, len(inputs))
 		models, rejs, mineErr := p.ModelRecipesPartial(ctx, inputs[lo:hi])
 		// On cancellation the processed slots form a contiguous prefix
@@ -375,40 +407,42 @@ func cmdMine(ctx context.Context, args []string, out io.Writer) error {
 		// it started); emit the prefix, never a partial record. A slot
 		// that is neither mined nor rejected was never dispatched.
 		rejected := rejectionsByIndex(rejs)
-		for i, m := range models {
-			if m == nil {
+		for i, model := range models {
+			if model == nil {
 				r, ok := rejected[i]
 				if !ok {
 					break
 				}
 				r.Index = lo + i
-				qc.Observe(r.Code)
-				if err := sink.Append(r); err != nil {
-					return err
+				m.qc.Observe(r.Code)
+				if err := m.sink.Append(r); err != nil {
+					return false, err
 				}
+				m.quarantined++
 				continue
 			}
-			if err := enc.Encode(m); err != nil {
-				return err
+			if err := m.enc.Encode(model); err != nil {
+				return false, err
 			}
-			mined++
+			// Simulated-kill point for crash tests: an injected error
+			// aborts before the chunk's commit, losing buffered bytes
+			// exactly like a SIGKILL would.
+			if err := faults.InjectContext(ctx, FaultEmit); err != nil {
+				return false, fmt.Errorf("mine: %w", err)
+			}
+			m.mined++
+		}
+		if err := m.commit(); err != nil {
+			return false, err
 		}
 		if mineErr != nil {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
 			if errors.Is(mineErr, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "recipemine: interrupted; flushed %d/%d complete records; quarantined %s\n", mined, len(inputs), qc.Summary())
-				return nil
+				return true, nil
 			}
-			return mineErr
+			return false, mineErr
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "recipemine: mined %d/%d records; quarantined %s\n", mined, len(inputs), qc.Summary())
-	return nil
+	return false, nil
 }
 
 // rejectionsByIndex keys a chunk's rejections by their chunk-local
@@ -465,10 +499,7 @@ func mineFingerprint(n int, seed int64, modelPath string) (string, error) {
 func mineDurable(ctx context.Context, p *recipemodel.Pipeline, inputs []recipemodel.RecipeInput, path, quarantinePath string, resume, force bool, fp string) error {
 	ckptPath := checkpoint.PathFor(path)
 	var f *os.File
-	var sink *quarantine.Sink
-	var qc quarantine.Counters
-	start := 0
-	quarantined := 0
+	var m miner
 	if resume {
 		man, err := checkpoint.Load(ckptPath)
 		if err != nil {
@@ -504,7 +535,7 @@ func mineDurable(ctx context.Context, p *recipemodel.Pipeline, inputs []recipemo
 			return fmt.Errorf("mine: -resume seek: %w", err)
 		}
 		if quarantinePath != "" {
-			sink, err = quarantine.Resume(quarantinePath, man.QuarantineOffset)
+			m.sink, err = quarantine.Resume(quarantinePath, man.QuarantineOffset)
 			if err != nil {
 				f.Close()
 				return fmt.Errorf("mine: -resume: %w", err)
@@ -515,22 +546,21 @@ func mineDurable(ctx context.Context, p *recipemodel.Pipeline, inputs []recipemo
 			durable, err := quarantine.ReadFile(quarantinePath)
 			if err != nil {
 				f.Close()
-				sink.Close()
+				m.sink.Close()
 				return fmt.Errorf("mine: -resume: %w", err)
 			}
 			for _, r := range durable {
-				qc.Observe(r.Code)
+				m.qc.Observe(r.Code)
 			}
 		}
-		start = man.Records
-		quarantined = man.Quarantined
-		if start+quarantined == len(inputs) {
+		m.mined, m.quarantined = man.Records, man.Quarantined
+		if m.mined+m.quarantined == len(inputs) {
 			f.Close()
-			sink.Close()
-			fmt.Fprintf(os.Stderr, "recipemine: %s already complete (%d records, %d quarantined)\n", path, start, quarantined)
+			m.sink.Close()
+			fmt.Fprintf(os.Stderr, "recipemine: %s already complete (%d records, %d quarantined)\n", path, m.mined, m.quarantined)
 			return nil
 		}
-		fmt.Fprintf(os.Stderr, "recipemine: resuming %s at input %d/%d (offset %d, %d quarantined)\n", path, start+quarantined, len(inputs), man.Offset, quarantined)
+		fmt.Fprintf(os.Stderr, "recipemine: resuming %s at input %d/%d (offset %d, %d quarantined)\n", path, m.mined+m.quarantined, len(inputs), man.Offset, m.quarantined)
 	} else {
 		flags := os.O_WRONLY | os.O_CREATE | os.O_EXCL
 		if force {
@@ -545,7 +575,7 @@ func mineDurable(ctx context.Context, p *recipemodel.Pipeline, inputs []recipemo
 			return err
 		}
 		if quarantinePath != "" {
-			sink, err = quarantine.Create(quarantinePath)
+			m.sink, err = quarantine.Create(quarantinePath)
 			if err != nil {
 				f.Close()
 				return err
@@ -555,22 +585,21 @@ func mineDurable(ctx context.Context, p *recipemodel.Pipeline, inputs []recipemo
 		// crash before the first checkpoint still resumes cleanly.
 		if err := checkpoint.Save(ckptPath, checkpoint.Manifest{Fingerprint: fp}); err != nil {
 			f.Close()
-			sink.Close()
+			m.sink.Close()
 			return fmt.Errorf("mine: %w", err)
 		}
 	}
 	defer f.Close()
-	defer sink.Close()
+	defer m.sink.Close()
 
 	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
-	mined := start
-	// sync makes everything appended so far durable and checkpoints it:
-	// flush the buffers, fsync the data (output and dead-letter), then
-	// atomically replace the manifest. Ordering is the crash-safety
-	// invariant — the manifest never describes bytes that are not
-	// already on disk.
-	sync := func() error {
+	m.enc = json.NewEncoder(bw)
+	// The commit makes everything appended so far durable and
+	// checkpoints it: flush the buffers, fsync the data (output and
+	// dead-letter), then atomically replace the manifest. Ordering is
+	// the crash-safety invariant — the manifest never describes bytes
+	// that are not already on disk.
+	m.commit = func() error {
 		if err := bw.Flush(); err != nil {
 			return err
 		}
@@ -581,66 +610,27 @@ func mineDurable(ctx context.Context, p *recipemodel.Pipeline, inputs []recipemo
 		if err != nil {
 			return err
 		}
-		qoff, err := sink.Sync()
+		qoff, err := m.sink.Sync()
 		if err != nil {
 			return err
 		}
 		return checkpoint.Save(ckptPath, checkpoint.Manifest{
 			Fingerprint:      fp,
-			Records:          mined,
+			Records:          m.mined,
 			Offset:           offset,
-			Quarantined:      quarantined,
+			Quarantined:      m.quarantined,
 			QuarantineOffset: qoff,
 		})
 	}
-
-	chunk := 4 * p.Workers()
-	for lo := start + quarantined; lo < len(inputs); lo += chunk {
-		hi := min(lo+chunk, len(inputs))
-		models, rejs, mineErr := p.ModelRecipesPartial(ctx, inputs[lo:hi])
-		rejected := rejectionsByIndex(rejs)
-		for i, m := range models {
-			if m == nil {
-				r, ok := rejected[i]
-				if !ok {
-					// Neither mined nor rejected: the pool never
-					// dispatched this slot (cancellation mid-chunk).
-					break
-				}
-				r.Index = lo + i
-				qc.Observe(r.Code)
-				if err := sink.Append(r); err != nil {
-					return err
-				}
-				quarantined++
-				continue
-			}
-			if err := enc.Encode(m); err != nil {
-				return err
-			}
-			// Simulated-kill point for crash tests: an injected error
-			// aborts before any flush or checkpoint, losing buffered
-			// bytes exactly like a SIGKILL would.
-			if err := faults.InjectContext(ctx, FaultEmit); err != nil {
-				return fmt.Errorf("mine: %w", err)
-			}
-			mined++
-		}
-		if mineErr != nil {
-			if err := sync(); err != nil {
-				return err
-			}
-			if errors.Is(mineErr, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "recipemine: interrupted; %d/%d records durable in %s (quarantined %s); continue with -resume\n", mined, len(inputs), path, qc.Summary())
-				return nil
-			}
-			return mineErr
-		}
-		if err := sync(); err != nil {
-			return err
-		}
+	interrupted, err := m.run(ctx, p, inputs)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "recipemine: mined %d/%d records to %s; quarantined %s\n", mined, len(inputs), path, qc.Summary())
+	if interrupted {
+		fmt.Fprintf(os.Stderr, "recipemine: interrupted; %d/%d records durable in %s (quarantined %s); continue with -resume\n", m.mined, len(inputs), path, m.qc.Summary())
+		return nil
+	}
+	fmt.Fprintf(os.Stderr, "recipemine: mined %d/%d records to %s; quarantined %s\n", m.mined, len(inputs), path, m.qc.Summary())
 	return nil
 }
 
@@ -664,16 +654,9 @@ func cmdSnapshot(args []string, out io.Writer) error {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	defer f.Close()
-	var models []*core.RecipeModel
-	dec := json.NewDecoder(bufio.NewReader(f))
-	for {
-		var m core.RecipeModel
-		if err := dec.Decode(&m); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("snapshot: %s: decode record %d: %w", *from, len(models), err)
-		}
-		models = append(models, &m)
+	models, err := snapshot.DecodeJSONL(f)
+	if err != nil {
+		return fmt.Errorf("snapshot: %s: %w", *from, err)
 	}
 	st, err := snapshot.OpenStore(*store)
 	if err != nil {

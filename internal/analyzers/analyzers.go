@@ -132,6 +132,7 @@ var durablePkgs = map[string]bool{
 	"persist":    true,
 	"quarantine": true,
 	"recipemine": true,
+	"snapshot":   true,
 }
 
 // lastSegment returns the final element of an import path.

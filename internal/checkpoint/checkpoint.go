@@ -19,6 +19,12 @@
 // torn tail beyond Manifest.Offset and re-mines from Manifest.Records.
 // Because mining is deterministic, the resumed output is byte-identical
 // to an uninterrupted run.
+//
+// The package also owns the pipeline's other durable form, the
+// versioned store (Versioned, versions.go): immutable version
+// directories published by a two-phase install and a CURRENT pointer,
+// shared by the model store (internal/persist) and the corpus snapshot
+// store (internal/snapshot).
 package checkpoint
 
 import (

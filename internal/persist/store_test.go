@@ -2,12 +2,16 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"recipemodel/internal/checkpoint"
 	"recipemodel/internal/faults"
 	"recipemodel/internal/ner"
 )
@@ -96,7 +100,7 @@ func TestStoreCrashBeforeCurrentSwap(t *testing.T) {
 	}
 
 	errCrash := errors.New("simulated crash")
-	disarm := faults.Enable(FaultInstall, faults.Fault{Err: errCrash})
+	disarm := faults.Enable(checkpoint.FaultInstall, faults.Fault{Err: errCrash})
 	_, err = st.Save(ing, ins, ner.DefaultFeatureOptions)
 	disarm()
 	if !errors.Is(err, errCrash) {
@@ -119,6 +123,60 @@ func TestStoreCrashBeforeCurrentSwap(t *testing.T) {
 	}
 	if _, _, cur, err := st.Load(); err != nil || cur != v3 {
 		t.Fatalf("after retry: version %q err %v, want %q", cur, err, v3)
+	}
+}
+
+// TestStoreFormatPin hand-writes a version in the on-disk layout every
+// deployed store already holds — bundles/v000001/{bundle.gob,
+// MANIFEST.json} with a compact {"version","size","sha256"} manifest,
+// plus a CURRENT line — and requires Load to serve it; a Save on top
+// must emit a manifest in exactly that form.
+func TestStoreFormatPin(t *testing.T) {
+	manifestFor := func(version string, bundle []byte) string {
+		sum := sha256.Sum256(bundle)
+		return fmt.Sprintf(`{"version":%q,"size":%d,"sha256":"%s"}`+"\n", version, len(bundle), hex.EncodeToString(sum[:]))
+	}
+	dir := t.TempDir()
+	verDir := filepath.Join(dir, "bundles", "v000001")
+	if err := os.MkdirAll(verDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	bundle := tinyBundleBytes(t)
+	for name, data := range map[string]string{
+		filepath.Join(verDir, "bundle.gob"):    string(bundle),
+		filepath.Join(verDir, "MANIFEST.json"): manifestFor("v000001", bundle),
+		filepath.Join(dir, "CURRENT"):          "v000001\n",
+	} {
+		if err := os.WriteFile(name, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, ins, v, err := st.Load()
+	if err != nil || v != "v000001" {
+		t.Fatalf("hand-written version: %q, %v", v, err)
+	}
+
+	v2, err := st.Save(ing, ins, ner.DefaultFeatureOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(filepath.Join(dir, "bundles", v2, "bundle.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := os.ReadFile(filepath.Join(dir, "bundles", v2, "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := manifestFor(v2, saved); string(man) != want {
+		t.Fatalf("Save manifest:\n%s\nwant:\n%s", man, want)
+	}
+	if cur, err := os.ReadFile(filepath.Join(dir, "CURRENT")); err != nil || string(cur) != v2+"\n" {
+		t.Fatalf("CURRENT = %q, %v; want %q", cur, err, v2+"\n")
 	}
 }
 

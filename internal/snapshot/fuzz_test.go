@@ -21,11 +21,11 @@ func buildSeedVersion(tb testing.TB) (manData, segData []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	manData, err = os.ReadFile(filepath.Join(st.versionDir(v), "MANIFEST.json"))
+	manData, err = os.ReadFile(filepath.Join(st.VersionDir(v), "MANIFEST.json"))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	segData, err = os.ReadFile(filepath.Join(st.versionDir(v), "seg-000000.jsonl"))
+	segData, err = os.ReadFile(filepath.Join(st.VersionDir(v), "seg-000000.jsonl"))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package snapshot is the versioned corpus store: the crash-safe
-// deployment form of a mined recipe corpus, the read-side twin of the
-// model store in internal/persist. `recipemine mine` produces a JSONL
-// corpus; `recipemine snapshot` packs it into an immutable, segmented,
-// sha256-manifested snapshot version that the query service loads into
-// memory shards and hot-swaps under traffic. Layout on disk:
+// deployment form of a mined recipe corpus. `recipemine mine` produces
+// a JSONL corpus; `recipemine snapshot` packs it into an immutable,
+// segmented, sha256-manifested snapshot version that the query service
+// loads into memory shards and hot-swaps under traffic. Layout on disk:
 //
 //	<dir>/
 //	  CURRENT                      ← version name, swapped by atomic rename
@@ -15,37 +14,31 @@
 //	    v000002/
 //	      ...
 //
-// The install discipline is persist's, reused verbatim: segments and
-// manifest are written atomically inside a hidden temp directory, the
-// directory is renamed into place, and only then does CURRENT swing —
-// a crash anywhere leaves CURRENT naming the previous, fully durable
-// version. Loads verify every segment's size and sha256 against the
-// manifest before decoding a single record, so a torn or bit-flipped
-// snapshot is a named-file, expected-vs-found-digest error, never a
-// half corpus. Load attempts retry with resilience.Backoff (transient
-// I/O), and LoadLatestGood falls back version by version when the
-// current snapshot is rejected — the server keeps serving the newest
-// corpus that checks out.
+// The versioned-directory mechanics are checkpoint.Versioned's, the
+// same store the model bundles (internal/persist) ship through:
+// sequential version names, the two-phase install that leaves CURRENT
+// on the previous, fully durable version across a crash, and
+// size-then-sha256 verification. This package holds the corpus codec:
+// JSONL segments, the segment manifest, doc-count checks and
+// segment-name confinement. Loads verify every segment before decoding
+// a single record, so a torn or bit-flipped snapshot is a named-file,
+// expected-vs-found-digest error, never a half corpus. Load attempts
+// retry with resilience.Backoff (transient I/O), and LoadLatestGood
+// falls back version by version when the current snapshot is rejected
+// — the server keeps serving the newest corpus that checks out.
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"recipemodel/internal/checkpoint"
 	"recipemodel/internal/core"
 	"recipemodel/internal/faults"
-	"recipemodel/internal/persist"
 	"recipemodel/internal/resilience"
 )
 
@@ -74,7 +67,7 @@ type Snapshot struct {
 
 // Store is a versioned, crash-safe corpus snapshot directory.
 type Store struct {
-	dir string
+	checkpoint.Versioned
 	// Backoff paces the per-version load retries; the zero value uses
 	// the resilience defaults (3 attempts, 10ms base). Tests install a
 	// no-op Sleep to keep retry drills clock-free.
@@ -84,19 +77,11 @@ type Store struct {
 // OpenStore opens (creating if necessary) a snapshot store rooted at
 // dir.
 func OpenStore(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "snapshots"), 0o755); err != nil {
-		return nil, fmt.Errorf("snapshot: open store: %w", err)
+	v, err := checkpoint.OpenVersioned(dir, "snapshots")
+	if err != nil {
+		return nil, err
 	}
-	return &Store{dir: dir}, nil
-}
-
-// Dir returns the store root.
-func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) snapshotsDir() string { return filepath.Join(s.dir, "snapshots") }
-
-func (s *Store) versionDir(version string) string {
-	return filepath.Join(s.snapshotsDir(), version)
+	return &Store{Versioned: v}, nil
 }
 
 // segmentEntry is one segment file's integrity record.
@@ -116,126 +101,43 @@ type manifest struct {
 	Segments []segmentEntry `json:"segments"`
 }
 
-// Versions lists the installed versions in ascending order (temp
-// directories from interrupted installs are excluded).
-func (s *Store) Versions() ([]string, error) {
-	entries, err := os.ReadDir(s.snapshotsDir())
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: list versions: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "v") {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// nextVersion allocates the next sequential version name.
-func (s *Store) nextVersion() (string, error) {
-	versions, err := s.Versions()
-	if err != nil {
-		return "", err
-	}
-	n := 0
-	for _, v := range versions {
-		var i int
-		if _, err := fmt.Sscanf(v, "v%06d", &i); err == nil && i > n {
-			n = i
-		}
-	}
-	return fmt.Sprintf("v%06d", n+1), nil
-}
-
-// SetCurrent atomically points CURRENT at an installed version — also
-// the rollback primitive: point it back at a previous version.
-func (s *Store) SetCurrent(version string) error {
-	if _, err := os.Stat(s.versionDir(version)); err != nil {
-		return fmt.Errorf("snapshot: set current: version %q not installed: %w", version, err)
-	}
-	if err := persist.WriteCurrentPointer(s.dir, version); err != nil {
-		return fmt.Errorf("snapshot: set current %s: %w", version, err)
-	}
-	return nil
-}
-
-// Current reads the serving version from CURRENT.
-func (s *Store) Current() (string, error) {
-	version, err := persist.ReadCurrentPointer(s.dir)
-	if err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	return version, nil
-}
-
 // Build installs the models as a new snapshot version and swaps
 // CURRENT to it, returning the version name. Models are encoded in
 // their given order (positions are the corpus's global doc ids) into
 // fixed-size JSONL segments; the install is two-phase, so a crash at
 // any point leaves CURRENT on the previous, fully durable version.
-func (s *Store) Build(models []*core.RecipeModel) (version string, err error) {
+func (s *Store) Build(models []*core.RecipeModel) (string, error) {
 	if len(models) == 0 {
 		return "", fmt.Errorf("snapshot: refusing to build an empty snapshot")
 	}
-	version, err = s.nextVersion()
-	if err != nil {
-		return "", err
-	}
-	tmpDir := filepath.Join(s.snapshotsDir(), ".install-"+version)
-	// A previous interrupted install may have left the temp dir behind.
-	if err := os.RemoveAll(tmpDir); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	defer func() {
-		if err != nil {
-			os.RemoveAll(tmpDir)
-		}
-	}()
-
-	man := manifest{Version: version, Docs: len(models)}
-	for lo := 0; lo < len(models); lo += segRecords {
-		hi := min(lo+segRecords, len(models))
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for _, m := range models[lo:hi] {
-			if err := enc.Encode(m); err != nil {
-				return "", fmt.Errorf("snapshot: install %s: encode doc %d: %w", version, lo, err)
+	return s.Install(func(dir, version string) error {
+		man := manifest{Version: version, Docs: len(models)}
+		for lo := 0; lo < len(models); lo += segRecords {
+			hi := min(lo+segRecords, len(models))
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			for _, m := range models[lo:hi] {
+				if err := enc.Encode(m); err != nil {
+					return fmt.Errorf("encode doc %d: %w", lo, err)
+				}
 			}
+			name := fmt.Sprintf("seg-%06d.jsonl", len(man.Segments))
+			if err := checkpoint.WriteFileAtomic(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+				return err
+			}
+			man.Segments = append(man.Segments, segmentEntry{
+				Name:    name,
+				Records: hi - lo,
+				Size:    int64(buf.Len()),
+				SHA256:  checkpoint.Digest(buf.Bytes()),
+			})
 		}
-		name := fmt.Sprintf("seg-%06d.jsonl", len(man.Segments))
-		sum := sha256.Sum256(buf.Bytes())
-		if err := checkpoint.WriteFileAtomic(filepath.Join(tmpDir, name), buf.Bytes(), 0o644); err != nil {
-			return "", fmt.Errorf("snapshot: install %s: %w", version, err)
+		manData, err := json.MarshalIndent(man, "", "  ")
+		if err != nil {
+			return err
 		}
-		man.Segments = append(man.Segments, segmentEntry{
-			Name:    name,
-			Records: hi - lo,
-			Size:    int64(buf.Len()),
-			SHA256:  hex.EncodeToString(sum[:]),
-		})
-	}
-	manData, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := checkpoint.WriteFileAtomic(filepath.Join(tmpDir, "MANIFEST.json"), append(manData, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := os.Rename(tmpDir, s.versionDir(version)); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := checkpoint.SyncDir(s.snapshotsDir()); err != nil {
-		return "", fmt.Errorf("snapshot: install %s: %w", version, err)
-	}
-	if err := s.SetCurrent(version); err != nil {
-		return version, err
-	}
-	return version, nil
+		return checkpoint.WriteManifest(dir, manData)
+	})
 }
 
 // LoadVersion loads one installed version: the manifest is read first,
@@ -246,15 +148,10 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 	if err := faults.Inject(FaultLoad); err != nil {
 		return nil, fmt.Errorf("snapshot: load %s: %w", version, err)
 	}
-	verDir := s.versionDir(version)
-	manPath := filepath.Join(verDir, "MANIFEST.json")
-	manData, err := os.ReadFile(manPath)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
 	var man manifest
-	if err := json.Unmarshal(manData, &man); err != nil {
-		return nil, fmt.Errorf("snapshot: %s: %w", manPath, err)
+	manPath, err := s.ReadManifest(version, &man)
+	if err != nil {
+		return nil, err
 	}
 	// Build refuses empty corpora, so a manifest claiming zero (or
 	// negative) docs can only be corruption.
@@ -268,19 +165,12 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 		if seg.Name != filepath.Base(seg.Name) || seg.Name == "." || seg.Name == ".." {
 			return nil, fmt.Errorf("snapshot: %s: invalid segment name %q", manPath, seg.Name)
 		}
-		segPath := filepath.Join(verDir, seg.Name)
-		data, err := os.ReadFile(segPath)
+		segPath := filepath.Join(s.VersionDir(version), seg.Name)
+		data, err := checkpoint.ReadVerified(segPath, seg.Size, seg.SHA256)
 		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
+			return nil, err
 		}
-		if int64(len(data)) != seg.Size {
-			return nil, fmt.Errorf("snapshot: %s: size %d bytes, manifest expects %d", segPath, len(data), seg.Size)
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != seg.SHA256 {
-			return nil, fmt.Errorf("snapshot: %s: checksum mismatch: manifest expects sha256 %s, file has %s", segPath, seg.SHA256, got)
-		}
-		records, err := decodeSegment(data)
+		records, err := DecodeJSONL(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %s: %w", segPath, err)
 		}
@@ -295,10 +185,12 @@ func (s *Store) LoadVersion(version string) (*Snapshot, error) {
 	return snap, nil
 }
 
-// decodeSegment parses one segment's JSONL records.
-func decodeSegment(data []byte) ([]*core.RecipeModel, error) {
+// DecodeJSONL parses a mined corpus — one RecipeModel JSON per line,
+// the form `recipemine mine` writes and snapshot segments hold. A
+// malformed record is a "decode record N" error naming its position.
+func DecodeJSONL(r io.Reader) ([]*core.RecipeModel, error) {
 	var out []*core.RecipeModel
-	dec := json.NewDecoder(bufio.NewReader(bytes.NewReader(data)))
+	dec := json.NewDecoder(r)
 	for {
 		var m core.RecipeModel
 		if err := dec.Decode(&m); err == io.EOF {
@@ -367,5 +259,5 @@ func (s *Store) LoadLatestGood(ctx context.Context) (snap *Snapshot, rejected []
 		}
 		rejected = append(rejected, fmt.Errorf("version %s rejected: %w", v, lerr))
 	}
-	return nil, rejected, fmt.Errorf("snapshot: no loadable version in %s (tried %d)", s.dir, len(try))
+	return nil, rejected, fmt.Errorf("snapshot: no loadable version in %s (tried %d)", s.Dir(), len(try))
 }

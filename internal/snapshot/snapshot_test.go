@@ -1,14 +1,18 @@
 package snapshot
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"recipemodel/internal/checkpoint"
 	"recipemodel/internal/core"
 	"recipemodel/internal/faults"
 	"recipemodel/internal/relations"
@@ -83,7 +87,7 @@ func TestBuildSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(st.versionDir(v))
+	entries, err := os.ReadDir(st.VersionDir(v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +143,7 @@ func TestLoadRejectsCorruptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segPath := filepath.Join(st.versionDir(v), "seg-000000.jsonl")
+	segPath := filepath.Join(st.VersionDir(v), "seg-000000.jsonl")
 	data, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +171,7 @@ func TestLoadRejectsTornSegment(t *testing.T) {
 	st, _ := OpenStore(t.TempDir())
 	noSleep(st)
 	v, _ := st.Build(testModels(5))
-	segPath := filepath.Join(st.versionDir(v), "seg-000000.jsonl")
+	segPath := filepath.Join(st.VersionDir(v), "seg-000000.jsonl")
 	data, _ := os.ReadFile(segPath)
 	if err := os.WriteFile(segPath, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
@@ -182,7 +186,7 @@ func TestLoadRejectsMissingManifest(t *testing.T) {
 	st, _ := OpenStore(t.TempDir())
 	noSleep(st)
 	v, _ := st.Build(testModels(3))
-	if err := os.Remove(filepath.Join(st.versionDir(v), "MANIFEST.json")); err != nil {
+	if err := os.Remove(filepath.Join(st.VersionDir(v), "MANIFEST.json")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Load(context.Background()); err == nil {
@@ -194,7 +198,7 @@ func TestLoadRejectsEscapingSegmentName(t *testing.T) {
 	st, _ := OpenStore(t.TempDir())
 	noSleep(st)
 	v, _ := st.Build(testModels(3))
-	manPath := filepath.Join(st.versionDir(v), "MANIFEST.json")
+	manPath := filepath.Join(st.VersionDir(v), "MANIFEST.json")
 	man, _ := os.ReadFile(manPath)
 	evil := strings.Replace(string(man), "seg-000000.jsonl", "../../../etc/passwd", 1)
 	if err := os.WriteFile(manPath, []byte(evil), 0o644); err != nil {
@@ -259,7 +263,7 @@ func TestLoadLatestGoodFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segPath := filepath.Join(st.versionDir(v2), "seg-000000.jsonl")
+	segPath := filepath.Join(st.VersionDir(v2), "seg-000000.jsonl")
 	data, _ := os.ReadFile(segPath)
 	if err := os.WriteFile(segPath, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
@@ -282,7 +286,7 @@ func TestLoadLatestGoodAllBad(t *testing.T) {
 	st, _ := OpenStore(t.TempDir())
 	noSleep(st)
 	v, _ := st.Build(testModels(3))
-	if err := os.Remove(filepath.Join(st.versionDir(v), "seg-000000.jsonl")); err != nil {
+	if err := os.Remove(filepath.Join(st.VersionDir(v), "seg-000000.jsonl")); err != nil {
 		t.Fatal(err)
 	}
 	_, rejected, err := st.LoadLatestGood(context.Background())
@@ -325,7 +329,7 @@ func TestInterruptedInstallLeavesNoVersion(t *testing.T) {
 	}
 	// Simulate a crash mid-install: the hidden temp directory exists
 	// but was never renamed into place.
-	if err := os.MkdirAll(filepath.Join(st.snapshotsDir(), ".install-v000002"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(st.Dir(), "snapshots", ".install-v000002"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	vs, err := st.Versions()
@@ -339,5 +343,110 @@ func TestInterruptedInstallLeavesNoVersion(t *testing.T) {
 	v, err := st.Build(testModels(3))
 	if err != nil || v != "v000002" {
 		t.Fatalf("rebuild over orphan: %q %v", v, err)
+	}
+}
+
+// TestBuildCrashBeforeCurrentSwap is the install crash-window drill: a
+// crash injected after the new version is durable but before CURRENT
+// swings must leave CURRENT and Load on the previous version, and the
+// next Build must install and publish cleanly.
+func TestBuildCrashBeforeCurrentSwap(t *testing.T) {
+	st, _ := OpenStore(t.TempDir())
+	noSleep(st)
+	if _, err := st.Build(testModels(3)); err != nil {
+		t.Fatal(err)
+	}
+	errCrash := errors.New("simulated crash")
+	disarm := faults.Enable(checkpoint.FaultInstall, faults.Fault{Err: errCrash})
+	_, err := st.Build(testModels(5))
+	disarm()
+	if !errors.Is(err, errCrash) {
+		t.Fatalf("build under fault = %v, want injected crash", err)
+	}
+	if cur, err := st.Current(); err != nil || cur != "v000001" {
+		t.Fatalf("CURRENT after crashed install = %q, %v; want v000001", cur, err)
+	}
+	snap, err := st.Load(context.Background())
+	if err != nil || snap.Version != "v000001" || len(snap.Models) != 3 {
+		t.Fatalf("load after crashed install: %v", err)
+	}
+	v, err := st.Build(testModels(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err = st.Load(context.Background())
+	if err != nil || snap.Version != v || len(snap.Models) != 7 {
+		t.Fatalf("after retry: %v, want %s with 7 docs", err, v)
+	}
+}
+
+// TestSnapshotFormatPin hand-writes a version in the on-disk layout
+// every deployed store already holds — snapshots/v000001/ with JSONL
+// segments and an indented manifest (version, docs, segments[name,
+// records, size, sha256]), plus a CURRENT line — and requires Load to
+// serve it; a Build of the same models must emit the identical
+// manifest under the next version name.
+func TestSnapshotFormatPin(t *testing.T) {
+	models := testModels(4)
+	var seg bytes.Buffer
+	enc := json.NewEncoder(&seg)
+	for _, m := range models {
+		if err := enc.Encode(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	manifestFor := func(version string) string {
+		return fmt.Sprintf(`{
+  "version": %q,
+  "docs": 4,
+  "segments": [
+    {
+      "name": "seg-000000.jsonl",
+      "records": 4,
+      "size": %d,
+      "sha256": %q
+    }
+  ]
+}
+`, version, seg.Len(), checkpoint.Digest(seg.Bytes()))
+	}
+	dir := t.TempDir()
+	verDir := filepath.Join(dir, "snapshots", "v000001")
+	if err := os.MkdirAll(verDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		filepath.Join(verDir, "seg-000000.jsonl"): seg.String(),
+		filepath.Join(verDir, "MANIFEST.json"):    manifestFor("v000001"),
+		filepath.Join(dir, "CURRENT"):             "v000001\n",
+	} {
+		if err := os.WriteFile(name, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _ := OpenStore(dir)
+	noSleep(st)
+	snap, err := st.Load(context.Background())
+	if err != nil || snap.Version != "v000001" || len(snap.Models) != 4 {
+		t.Fatalf("hand-written version: %v", err)
+	}
+
+	v2, err := st.Build(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := os.ReadFile(filepath.Join(st.VersionDir(v2), "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := manifestFor(v2); string(man) != want {
+		t.Fatalf("Build manifest:\n%s\nwant:\n%s", man, want)
+	}
+	built, err := os.ReadFile(filepath.Join(st.VersionDir(v2), "seg-000000.jsonl"))
+	if err != nil || !bytes.Equal(built, seg.Bytes()) {
+		t.Fatalf("Build segment differs from the hand-written one (err %v)", err)
+	}
+	if cur, err := os.ReadFile(filepath.Join(dir, "CURRENT")); err != nil || string(cur) != v2+"\n" {
+		t.Fatalf("CURRENT = %q, %v; want %q", cur, err, v2+"\n")
 	}
 }
